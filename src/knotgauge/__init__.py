@@ -2,9 +2,9 @@
 
 __version__ = "0.1.0"
 
-from .curve import (Curve, CurveError, circle, discrete_tangent,
-                    hausdorff_distance, intrinsic_distance, load_curve,
-                    param_distance, resample_arclength, save_curve)
+from .curve import (Curve, CurveError, circle, hausdorff_distance,
+                    load_curve, param_distance, resample_arclength,
+                    save_curve)
 from .distortion import (DistortionAngle, DistortionProfile,
                          EquivalenceCertificate, arc_chord_ratio,
                          certify_equivalence, distortion_angle,

@@ -13,13 +13,12 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import __version__
-from .concentration import ConcentrationError, pipeline
+from .concentration import EPSILON, ConcentrationError, pipeline
 from .curve import Curve, CurveError, load_curve, save_curve
 from .distortion import (G_INF, certify_equivalence, distortion_profile,
                          distortion_threshold)
@@ -217,8 +216,6 @@ def build_parser():
         description="Certified knot-equivalence analysis of sampled curves")
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for all stochastic verification sampling")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="cap internal parallelism (results independent)")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("analyze", help="distortion profile and seminorm")
@@ -249,7 +246,8 @@ def build_parser():
     p = sub.add_parser("flow", help="distance-increasing/decreasing flow")
     p.add_argument("curve")
     p.add_argument("--seed", dest="seed_point", required=True,
-                   help="seed point x,y,z")
+                   help="seed point x,y,z; write --seed=x,y,z when x is "
+                        "negative")
     p.add_argument("--dir", choices=["inc", "dec"], required=True)
     p.add_argument("--rM", type=float, required=True)
     p.add_argument("--rho", type=float, required=True)
@@ -272,7 +270,7 @@ def build_parser():
     p.add_argument("curve")
     p.add_argument("--reference", help="smooth reference curve")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--eps", type=float, default=2.0 / 3.0 - 6.0 / math.pi**2,
+    p.add_argument("--eps", type=float, default=EPSILON,
                    help="concentration mass quantum (off-default values "
                         "are experimental)")
     p.add_argument("--out", help="write the modified curve")

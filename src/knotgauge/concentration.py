@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import Curve, param_distance
-from .distortion import certify_equivalence, local_distortion
+from .curve import Curve, param_distance, param_window
+from .distortion import LADDER_SIZE, certify_equivalence, local_distortion
 from .sobolev import (ball_halfwidth, ball_window_sums, bilip_constant,
                       tangent_density, ConcentratedSeminormError,
                       fractional_admissible_scale)
@@ -32,6 +32,9 @@ EPSILON = 2.0 / 3.0 - 6.0 / math.pi**2
 
 #: smallest resolvable detection window, in grid steps
 DETECT_HALFWIDTH = 4
+
+#: slack on the final local-distortion check against pi/3
+DISTORTION_MARGIN = 1e-2
 
 
 class ConcentrationError(RuntimeError):
@@ -77,9 +80,7 @@ def detect_concentrations(c, eps=EPSILON, grid=None):
     for a_i, i in enumerate(reps):
         for j in reps[a_i + 1:]:
             gap = param_distance(i / n, j / n)
-            mass = float(grid.density[np.ix_(
-                np.arange(i - k, i + k + 1) % n,
-                np.arange(j - k, j + k + 1) % n)].sum())
+            mass = offdiag_window_mass(c, i, j, r, grid=grid)
             if mass > 64.0 * r * r / (gap * gap):
                 notes.append(
                     f"off-diagonal window ({i}, {j}) mass {mass:.3e} above "
@@ -138,8 +139,7 @@ class ScaleSelection:
     theta: float
 
 
-def select_scale(c, detection, p, L, r_gamma=None, theta=None, num=40,
-                 grid=None):
+def select_scale(c, detection, p, L, r_gamma=None, theta=None, grid=None):
     """Working radius for the substitution at the detected centers.
 
     Minimum of: (i) the largest ladder prefix on which every center's
@@ -156,7 +156,8 @@ def select_scale(c, detection, p, L, r_gamma=None, theta=None, num=40,
     n = c.n
     if theta is None:
         theta = theta4(L)
-    ladder = np.geomspace((2.0 * DETECT_HALFWIDTH + 2.0) / n, 0.25, num)
+    ladder = np.geomspace((2.0 * DETECT_HALFWIDTH + 2.0) / n, 0.25,
+                          LADDER_SIZE)
 
     ann = _annulus_prefix_scale(grid, detection.indices, ladder, theta, n)
     if ann is None:
@@ -181,19 +182,12 @@ def select_scale(c, detection, p, L, r_gamma=None, theta=None, num=40,
                           separation_bound=sep, r_gamma=r_gamma, theta=theta)
 
 
-def _annulus_mask(n, center, r, theta):
-    t = np.arange(n) / n
-    d = np.abs(t - center / n)
-    d = np.minimum(d, 1.0 - d)
-    return (d > theta * r) & (d <= r + 1e-15)
-
-
 def _annulus_prefix_scale(grid, centers, ladder, theta, n):
     best = None
     for r in ladder:
         ok = True
         for i in centers:
-            m = _annulus_mask(n, i, r, theta)
+            m = param_window(n, i / n, r, inner=theta * r)
             if m.sum() >= 2 and grid.density[np.ix_(m, m)].sum() >= theta / 2:
                 ok = False
                 break
@@ -243,8 +237,7 @@ class ConcentrationReport:
         return all(self.flags.values())
 
 
-def pipeline(c, p, reference=None, eps=EPSILON, seed=0,
-             distortion_margin=1e-2):
+def pipeline(c, p, reference=None, eps=EPSILON, seed=0):
     """Detect concentrations, cut them out, and verify the final bounds.
 
     Works on the unit-length normalization of the input; the modified curve
@@ -276,7 +269,7 @@ def pipeline(c, p, reference=None, eps=EPSILON, seed=0,
         return ConcentrationReport(
             eps=eps, detection=det, bilip=L, theta=theta, scale=None,
             substitution=None, modified=c, final_scale=None,
-            distortion_final=None, distortion_margin=distortion_margin,
+            distortion_final=None, distortion_margin=DISTORTION_MARGIN,
             budget=None, linf_reference=None, certificate=cert, flags=flags)
 
     r_gamma = None
@@ -295,7 +288,7 @@ def pipeline(c, p, reference=None, eps=EPSILON, seed=0,
     dist_final = local_distortion(modified, final_scale)[0]
     flags = {
         "substitution": rep.all_pass,
-        "distortion": dist_final <= math.pi / 3.0 + distortion_margin,
+        "distortion": dist_final <= math.pi / 3.0 + DISTORTION_MARGIN,
     }
     budget = sel.r_bar / (64.0 * L)
     linf_ref = None
@@ -310,5 +303,5 @@ def pipeline(c, p, reference=None, eps=EPSILON, seed=0,
         eps=eps, detection=det, bilip=L, theta=theta, scale=sel,
         substitution=rep, modified=Curve(modified.samples * length),
         final_scale=final_scale, distortion_final=dist_final,
-        distortion_margin=distortion_margin, budget=budget,
+        distortion_margin=DISTORTION_MARGIN, budget=budget,
         linf_reference=linf_ref, certificate=cert, flags=flags)

@@ -16,6 +16,15 @@ import numpy as np
 
 MIN_SAMPLES = 8
 
+#: slack on the outer radius of a closed parameter window; it absorbs the
+#: rounding of i/N - x, so a sample at exactly distance r stays inside
+WINDOW_SLACK = 1e-15
+
+#: relative edge-length spread at which resampling stops, and its
+#: iteration cap
+RESAMPLE_TOL = 1e-12
+RESAMPLE_MAX_ITER = 200
+
 
 class CurveError(ValueError):
     """Invalid curve data (too few samples, repeated points, bad file)."""
@@ -32,25 +41,39 @@ def param_distance(s, t):
     return min(d, 1.0 - d)
 
 
+def param_window(n, x, r, inner=None):
+    """Membership of the samples t_i = i/N in the closed window around x.
+
+    Sample i belongs when its periodic distance to x is at most
+    ``r + WINDOW_SLACK`` and, with ``inner`` given, above ``inner``.
+    """
+    d = np.abs(np.arange(n) / n - wrap01(x))
+    d = np.minimum(d, 1.0 - d)
+    mask = d <= r + WINDOW_SLACK
+    if inner is not None:
+        mask &= d > inner
+    return mask
+
+
 class Curve:
     """Closed polyline in R^3 sampled at N uniform parameters on R/Z.
 
     Vertices are immutable after construction; derived quantities (edge
-    lengths, cumulative arclength, tangents) are cached lazily.
+    lengths, cumulative arclength, tangents, pair matrices) are cached
+    lazily, and the cached pair matrices are read-only.
     """
 
-    def __init__(self, samples, validate=True):
+    def __init__(self, samples):
         q = np.array(samples, dtype=float)
         if q.ndim != 2 or q.shape[1] != 3:
             raise CurveError("samples must be an (N, 3) array")
-        if validate:
-            if q.shape[0] < MIN_SAMPLES:
-                raise CurveError(f"N < {MIN_SAMPLES} (got {q.shape[0]})")
-            if not np.all(np.isfinite(q)):
-                raise CurveError("non-finite coordinates")
-            edges = np.roll(q, -1, axis=0) - q
-            if np.any(np.einsum("ij,ij->i", edges, edges) == 0.0):
-                raise CurveError("consecutive samples coincide")
+        if q.shape[0] < MIN_SAMPLES:
+            raise CurveError(f"N < {MIN_SAMPLES} (got {q.shape[0]})")
+        if not np.all(np.isfinite(q)):
+            raise CurveError("non-finite coordinates")
+        edges = np.roll(q, -1, axis=0) - q
+        if np.any(np.einsum("ij,ij->i", edges, edges) == 0.0):
+            raise CurveError("consecutive samples coincide")
         q.setflags(write=False)
         self._q = q
         self._cache = {}
@@ -112,7 +135,9 @@ class Curve:
             s = self.cum_lengths()[:-1]
             total = self.total_length()
             d = np.abs(s[:, None] - s[None, :])
-            self._cache["intrinsic_matrix"] = np.minimum(d, total - d)
+            m = np.minimum(d, total - d)
+            m.setflags(write=False)
+            self._cache["intrinsic_matrix"] = m
         return self._cache["intrinsic_matrix"]
 
     def chord_matrix(self):
@@ -120,8 +145,9 @@ class Curve:
         if "chord_matrix" not in self._cache:
             q = self._q
             diff = q[:, None, :] - q[None, :, :]
-            self._cache["chord_matrix"] = np.sqrt(
-                np.einsum("ijk,ijk->ij", diff, diff))
+            m = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+            m.setflags(write=False)
+            self._cache["chord_matrix"] = m
         return self._cache["chord_matrix"]
 
     def tangents(self):
@@ -134,65 +160,31 @@ class Curve:
             self._cache["tangents"] = e / lens[:, None]
         return self._cache["tangents"]
 
-    def point_at_arclength(self, s):
-        """Point on the polyline at arclength position s (mod total length)."""
-        cum = self.cum_lengths()
-        total = cum[-1]
-        s = s % total
-        k = int(np.searchsorted(cum, s, side="right") - 1)
-        k = min(k, self.n - 1)
-        q = self._q
-        a = q[k]
-        b = q[(k + 1) % self.n]
-        seg = cum[k + 1] - cum[k]
-        frac = (s - cum[k]) / seg
-        return a + frac * (b - a)
-
     def index_of_param(self, x):
         """Nearest sample index to the parameter x in [0, 1)."""
         return int(round(wrap01(x) * self.n)) % self.n
 
 
-def intrinsic_distance(c, i, j):
-    return c.intrinsic_distance(i, j)
-
-
-def discrete_tangent(c):
-    """Unit tangent samples of an arclength-resampled curve."""
-    return c.tangents()
-
-
 # -- point / polyline distances ---------------------------------------------
 
-def points_to_polyline_distance(points, c):
-    """Distance from each query point to the closed polyline of ``c``.
+def point_to_polyline_distance(points, c):
+    """Distance from a point, shape (3,), or from each of P points, shape
+    (P, 3), to the closed polyline of ``c``.
 
     Projects onto every edge (clamped) and takes the minimum; exact for
-    polygons, O(len(points) * N).
+    polygons, O(P * N).  Returns a float for one point, else a (P,) array.
     """
-    p = np.atleast_2d(np.asarray(points, dtype=float))
+    p = np.asarray(points, dtype=float)
     a = c.samples
     v = c.edge_vectors()
     vv = np.einsum("ij,ij->i", v, v)
-    # (P, N) parameter of the foot of the perpendicular, clamped to the edge
-    w = p[:, None, :] - a[None, :, :]
-    t = np.clip(np.einsum("pnk,nk->pn", w, v) / vv[None, :], 0.0, 1.0)
-    foot = a[None, :, :] + t[:, :, None] * v[None, :, :]
-    d = np.sqrt(np.einsum("pnk,pnk->pn", p[:, None, :] - foot, p[:, None, :] - foot))
-    return d.min(axis=1)
-
-
-def point_to_polyline_distance(point, c):
-    """Distance from one point to the polyline; scalar fast path."""
-    p = np.asarray(point, dtype=float)
-    a = c.samples
-    v = c.edge_vectors()
-    vv = np.einsum("ij,ij->i", v, v)
-    w = p - a
-    t = np.einsum("ij,ij->i", w, v) / vv
+    # foot of the perpendicular at a + t v, clamped to the edge
+    w = p[..., None, :] - a
+    t = np.einsum("...ij,ij->...i", w, v) / vv
     np.clip(t, 0.0, 1.0, out=t)
-    diff = w - t[:, None] * v
-    return float(np.sqrt(np.einsum("ij,ij->i", diff, diff).min()))
+    diff = w - t[..., None] * v
+    d = np.sqrt(np.einsum("...ij,...ij->...i", diff, diff).min(axis=-1))
+    return float(d) if p.ndim == 1 else d
 
 
 def hausdorff_distance(a, b):
@@ -211,22 +203,23 @@ def _directed_vertex_polyline(a, b, chunk=512):
     worst = 0.0
     q = a.samples
     for lo in range(0, a.n, chunk):
-        d = points_to_polyline_distance(q[lo:lo + chunk], b)
+        d = point_to_polyline_distance(q[lo:lo + chunk], b)
         worst = max(worst, float(d.max()))
     return worst
 
 
 # -- resampling ---------------------------------------------------------------
 
-def resample_arclength(c, n_out, tol=1e-12, max_iter=200):
+def resample_arclength(c, n_out):
     """Resample to ``n_out`` vertices on the input polyline with equal edges.
 
     Starts from equal arc spacing along the input and iterates a
     chord-length reparametrization until all output edge lengths agree to
-    relative ``tol``; the fixed point makes the operation idempotent and the
-    output exactly unit-speed in its own metric.  The output length equals
-    the input length up to the O(1/N^2) corner cutting of smooth data
-    (polygon-aligned vertices are preserved exactly).
+    relative ``RESAMPLE_TOL``; the fixed point makes the operation
+    idempotent and the output exactly unit-speed in its own metric.  The
+    output length equals the input length up to the O(1/N^2) corner
+    cutting of smooth data (polygon-aligned vertices are preserved
+    exactly).
     """
     if n_out < MIN_SAMPLES:
         raise CurveError(f"n_out < {MIN_SAMPLES}")
@@ -236,10 +229,10 @@ def resample_arclength(c, n_out, tol=1e-12, max_iter=200):
     total = cum[-1]
     s = np.arange(n_out) * (total / n_out)
     pts = _points_at(c, cum, s)
-    for _ in range(max_iter):
+    for _ in range(RESAMPLE_MAX_ITER):
         chords = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
         spread = (chords.max() - chords.min()) / chords.mean()
-        if spread < tol:
+        if spread < RESAMPLE_TOL:
             break
         csum = np.concatenate([[0.0], np.cumsum(chords)])
         targets = np.arange(n_out) * (csum[-1] / n_out)
@@ -262,11 +255,12 @@ def _points_at(c, cum, s):
 
 # -- construction helpers ------------------------------------------------------
 
-def circle(n, radius=1.0, center=(0.0, 0.0, 0.0), phase=0.0):
-    """Regular n-gon inscribed in a round circle in the xy-plane."""
-    t = 2.0 * np.pi * (np.arange(n) / n) + phase
+def circle(n, radius=1.0):
+    """Regular n-gon inscribed in a round circle about the origin in the
+    xy-plane."""
+    t = 2.0 * np.pi * (np.arange(n) / n)
     q = np.stack([radius * np.cos(t), radius * np.sin(t), np.zeros(n)], axis=1)
-    return Curve(q + np.asarray(center, dtype=float))
+    return Curve(q)
 
 
 # -- I/O -----------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .curve import hausdorff_distance
 #: threshold sequence limit: the distortion of a quarter circle
 G_INF = math.pi / math.sqrt(8.0)
 
-#: default number of rungs in the scale ladder
+#: number of rungs in every scale ladder
 LADDER_SIZE = 40
 
 
@@ -110,13 +110,13 @@ def global_distortion(c):
     return local_distortion(c, c.diameter() / 2.0)
 
 
-def scale_ladder(c, num=LADDER_SIZE):
+def scale_ladder(c):
     """Log-spaced radii from 2 * min edge length up to the diameter."""
     lo = 2.0 * c.min_edge()
     hi = c.diameter()
     if lo >= hi:
         lo = hi / 2.0
-    return np.geomspace(lo, hi, num)
+    return np.geomspace(lo, hi, LADDER_SIZE)
 
 
 @dataclass
@@ -129,9 +129,9 @@ class DistortionProfile:
     global_pair: tuple
 
 
-def distortion_profile(c, num=LADDER_SIZE):
-    scales = scale_ladder(c, num)
-    values = np.empty(num)
+def distortion_profile(c):
+    scales = scale_ladder(c)
+    values = np.empty(LADDER_SIZE)
     pairs = []
     for k, r in enumerate(scales):
         v, pair = local_distortion(c, r)
@@ -142,14 +142,14 @@ def distortion_profile(c, num=LADDER_SIZE):
                              global_value=g, global_pair=gp)
 
 
-def find_admissible_scale(c, threshold, num=LADDER_SIZE):
+def find_admissible_scale(c, threshold):
     """Largest ladder scale at which local distortion stays below threshold.
 
     Returns None when no rung qualifies.
     """
     if not (1.0 < threshold < math.pi / 2.0):
         raise ValueError("threshold must lie in (1, pi/2)")
-    scales = scale_ladder(c, num)
+    scales = scale_ladder(c)
     for r in scales[::-1]:
         v, _ = local_distortion(c, r)
         if v < threshold:
@@ -190,7 +190,7 @@ class EquivalenceCertificate:
         }
 
 
-def certify_equivalence(a, b, threshold=None, margin=1e-3, num=LADDER_SIZE):
+def certify_equivalence(a, b, threshold=None, margin=1e-3):
     """Run the sufficient equivalence test on two sampled knots.
 
     Searches each curve for the largest admissible scale with local
@@ -201,8 +201,8 @@ def certify_equivalence(a, b, threshold=None, margin=1e-3, num=LADDER_SIZE):
     if threshold is None:
         threshold = distortion_threshold(3)
     thr = threshold - margin
-    r1 = find_admissible_scale(a, thr, num)
-    r2 = find_admissible_scale(b, thr, num)
+    r1 = find_admissible_scale(a, thr)
+    r2 = find_admissible_scale(b, thr)
     d1 = local_distortion(a, r1)[0] if r1 is not None else None
     d2 = local_distortion(b, r2)[0] if r2 is not None else None
     h = hausdorff_distance(a, b)

@@ -79,14 +79,15 @@ def _ball4(p, q, s, w):
     return (cx, cy, cz), r2
 
 
-def _inside(pt, center, r2, eps):
+def _inside(pt, center, r2):
+    # relative and absolute tolerance 1e-12 on the squared radius
     dx = pt[0] - center[0]
     dy = pt[1] - center[1]
     dz = pt[2] - center[2]
-    return dx * dx + dy * dy + dz * dz <= r2 * (1.0 + eps) + eps
+    return dx * dx + dy * dy + dz * dz <= r2 * (1.0 + 1e-12) + 1e-12
 
 
-def enclosing_ball(points, eps=1e-12):
+def enclosing_ball(points):
     """Smallest enclosing ball of points in R^3.
 
     Incremental Welzl with explicit support-set circumspheres; scalar
@@ -96,22 +97,22 @@ def enclosing_ball(points, eps=1e-12):
     center, r2 = pts[0], 0.0
     for i in range(1, len(pts)):
         p = pts[i]
-        if _inside(p, center, r2, eps):
+        if _inside(p, center, r2):
             continue
         center, r2 = p, 0.0
         for j in range(i):
             q = pts[j]
-            if _inside(q, center, r2, eps):
+            if _inside(q, center, r2):
                 continue
             center, r2 = _ball2(p, q)
             for k in range(j):
                 s = pts[k]
-                if _inside(s, center, r2, eps):
+                if _inside(s, center, r2):
                     continue
                 center, r2 = _ball3(p, q, s)
                 for l in range(k):
                     w = pts[l]
-                    if _inside(w, center, r2, eps):
+                    if _inside(w, center, r2):
                         continue
                     center, r2 = _ball4(p, q, s, w)
     return np.array(center), math.sqrt(max(r2, 0.0))
@@ -179,16 +180,17 @@ def _cap_of(dirs):
     return cap_center, float(np.arccos(cosang).max())
 
 
-def direction_set_auto(m, x, alpha, eps0=0.25, max_halvings=40, _d_x=None):
-    """Shrink epsilon from eps0 until the cap diameter drops below alpha."""
+def direction_set_auto(m, x, alpha, _d_x=None):
+    """Shrink epsilon from 1/4, halving it at most 40 times, until the cap
+    diameter drops below alpha."""
     x = np.asarray(x, dtype=float)
     d_x = point_to_polyline_distance(x, m) if _d_x is None else _d_x
     if d_x <= 0.0:
         raise FlowError("base point lies on the curve")
     dist = np.linalg.norm(m.samples - x, axis=1)
-    eps = eps0
+    eps = 0.25
     ds = direction_set(m, x, eps, _d_x=d_x, _dist=dist)
-    for _ in range(max_halvings):
+    for _ in range(40):
         if ds.cap_diameter < alpha:
             return ds
         eps *= 0.5
@@ -292,8 +294,7 @@ def midpoint_angle(m, r_m):
     return 0.5 * (distortion_angle(delta).alpha + threshold_angle(3))
 
 
-def flow(m, seed, direction, r_m, rho, delta=None, steps=256, alpha=None,
-         collision_tol=None):
+def flow(m, seed, direction, r_m, rho, delta=None, steps=256, alpha=None):
     """Integrate the distance flow from ``seed`` over unit time.
 
     Classical fourth-order Runge-Kutta with ``steps`` fixed steps; the trace
@@ -306,10 +307,9 @@ def flow(m, seed, direction, r_m, rho, delta=None, steps=256, alpha=None,
         alpha = midpoint_angle(m, r_m)
     field = lambda y: vector_field(m, y, alpha, r_m, rho, direction, delta)
     y = np.asarray(seed, dtype=float).copy()
-    if collision_tol is None:
-        # below rho/2 the decreasing field vanishes, so any distance under
-        # a quarter of rho means the trajectory genuinely hit the curve
-        collision_tol = min(0.5 * m.min_edge(), 0.25 * rho)
+    # below rho/2 the decreasing field vanishes, so any distance under
+    # a quarter of rho means the trajectory genuinely hit the curve
+    collision_tol = min(0.5 * m.min_edge(), 0.25 * rho)
     dt = 1.0 / steps
     times = np.linspace(0.0, 1.0, steps + 1)
     states = np.empty((steps + 1, 3))

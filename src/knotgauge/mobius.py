@@ -26,6 +26,14 @@ from .distortion import certify_equivalence, distortion_threshold
 from .sobolev import bilip_constant
 
 
+#: sufficient-decrease constant of the backtracking line search
+ARMIJO_C = 1e-4
+#: step halvings before a descent iteration counts as stalled
+MAX_HALVINGS = 40
+#: descent iterations between equivalence certificates
+CERTIFICATE_CADENCE = 10
+
+
 class EmbeddingError(RuntimeError):
     """Non-adjacent samples coincide; the energy is undefined."""
 
@@ -72,19 +80,25 @@ def _check_embedded(c):
         raise EmbeddingError("not embedded: non-adjacent samples coincide")
 
 
-def mobius_energy(c):
-    """Discrete self-repulsion energy; nonnegative, zero only in the limit of
-    vanishing curvature, scale and rigid-motion invariant."""
-    _check_embedded(c)
-    chord = c.chord_matrix()
-    arc = c.intrinsic_matrix()
-    w = _weights(c)
+def _pair_kernel(c):
+    """Chord and arc matrices with unit diagonals, and the pair kernel
+    F = 1/chord^2 - 1/arc^2 with zero diagonal; all three are fresh
+    arrays, so the curve's cached matrices are never written."""
+    chord = c.chord_matrix().copy()
+    arc = c.intrinsic_matrix().copy()
     np.fill_diagonal(chord, 1.0)
     np.fill_diagonal(arc, 1.0)
     f = 1.0 / chord**2 - 1.0 / arc**2
     np.fill_diagonal(f, 0.0)
-    np.fill_diagonal(chord, 0.0)
-    np.fill_diagonal(arc, 0.0)
+    return chord, arc, f
+
+
+def mobius_energy(c):
+    """Discrete self-repulsion energy; nonnegative, zero only in the limit of
+    vanishing curvature, scale and rigid-motion invariant."""
+    _check_embedded(c)
+    w = _weights(c)
+    _, _, f = _pair_kernel(c)
     return float(w @ f @ w)
 
 
@@ -99,12 +113,7 @@ def mobius_gradient(c):
     q = c.samples
     w = _weights(c)
     u = c.tangents()
-    chord = c.chord_matrix().copy()
-    arc = c.intrinsic_matrix().copy()
-    np.fill_diagonal(chord, 1.0)
-    np.fill_diagonal(arc, 1.0)
-    f = 1.0 / chord**2 - 1.0 / arc**2
-    np.fill_diagonal(f, 0.0)
+    chord, arc, f = _pair_kernel(c)
 
     # chord part: d/dq_k of sum w_i w_j / C_ij^2
     inv_c4 = 1.0 / chord**4
@@ -203,15 +212,7 @@ def symmetrize_field(h, spec):
 
 def symmetrize_curve(c, spec):
     """Project vertices onto the symmetric class by orbit averaging."""
-    n = c.n
-    if n % spec.p:
-        raise ValueError("sample count not divisible by the symmetry order")
-    shift = n // spec.p
-    acc = np.zeros_like(c.samples)
-    for k in range(1, spec.p + 1):
-        rot = spec.rotation(-k)
-        acc += np.roll(c.samples, -k * shift, axis=0) @ rot.T
-    return Curve(acc / spec.p)
+    return Curve(symmetrize_field(c.samples, spec) / spec.p)
 
 
 # -- symmetric minimization ------------------------------------------------------------
@@ -236,13 +237,7 @@ class MinimizeConfig:
     m: int = 1
     n: int = 256
     steps: int = 100
-    major_radius: float = 2.0
-    tube_radius: float = 0.5
     initial: Curve | None = None
-    armijo_c: float = 1e-4
-    max_halvings: int = 40
-    certificate_cadence: int = 10
-    certificate_margin: float = 1e-3
 
     def effective_n(self):
         """Requested sample count rounded up to a multiple of p."""
@@ -255,7 +250,7 @@ class MinimizeConfig:
         if self.torus is None:
             raise ValueError("config needs either a torus class or a curve")
         a, b = self.torus
-        return torus_knot(a, b, self.major_radius, self.tube_radius, n)
+        return torus_knot(a, b, n=n)
 
 
 @dataclass
@@ -279,7 +274,7 @@ def minimize_symmetric(cfg):
     Each iteration symmetrizes the gradient, backtracks until the energy of
     the stepped, arclength-resampled, re-symmetrized curve decreases
     (sufficient-decrease rule), and emits energy, symmetry residual, and the
-    measured bilipschitz constant.  Every ``certificate_cadence`` iterations
+    measured bilipschitz constant.  Every ``CERTIFICATE_CADENCE`` iterations
     the current curve is certified against the last passing checkpoint; a
     failed certificate aborts the run.
     """
@@ -304,7 +299,7 @@ def minimize_symmetric(cfg):
 
         step = 1e-2 / gmax
         accepted = False
-        for _ in range(cfg.max_halvings):
+        for _ in range(MAX_HALVINGS):
             trial = Curve(cur.samples - step * h_sym)
             try:
                 trial = symmetrize_curve(
@@ -313,7 +308,7 @@ def minimize_symmetric(cfg):
             except (EmbeddingError, ValueError):
                 step *= 0.5
                 continue
-            if e_trial <= energy - cfg.armijo_c * step * slope:
+            if e_trial <= energy - ARMIJO_C * step * slope:
                 accepted = True
                 break
             step *= 0.5
@@ -322,9 +317,8 @@ def minimize_symmetric(cfg):
                                   certificates=certificates)
         cur, energy = trial, e_trial
         states.append(_state(it, cur, energy, step, gmax, spec))
-        if cfg.certificate_cadence and it % cfg.certificate_cadence == 0:
-            cert = certify_equivalence(checkpoint, cur, threshold=g3,
-                                       margin=cfg.certificate_margin)
+        if it % CERTIFICATE_CADENCE == 0:
+            cert = certify_equivalence(checkpoint, cur, threshold=g3)
             certificates.append((it, cert))
             if not cert.passed:
                 raise DescentAborted(

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import uniform_filter1d
 
-from .curve import param_distance, wrap01
+from .curve import param_distance, param_window, wrap01
+from .distortion import LADDER_SIZE
 
 DEFAULT_BAND = 2
 
@@ -52,27 +53,19 @@ class Arc:
 
 
 def window_mask(window, n):
-    """Boolean sample membership for a parameter window."""
-    t = np.arange(n) / n
+    """Boolean sample membership for a parameter window (closed, see
+    :func:`~knotgauge.curve.param_window`)."""
     if window is None:
         return np.ones(n, dtype=bool)
     if isinstance(window, Ball):
-        d = _pdist(t, window.x)
-        return d <= window.r
+        return param_window(n, window.x, window.r)
     if isinstance(window, Annulus):
-        d = _pdist(t, window.x)
-        return (d > window.theta * window.r) & (d <= window.r)
+        return param_window(n, window.x, window.r,
+                            inner=window.theta * window.r)
     if isinstance(window, Arc):
-        span = param_distance(window.s, window.t)
-        mid = _arc_midpoint(window.s, window.t)
-        d = _pdist(t, mid)
-        return d <= span / 2.0 + 1e-15
+        return param_window(n, _arc_midpoint(window.s, window.t),
+                            param_distance(window.s, window.t) / 2.0)
     raise TypeError(f"unknown window type {type(window)!r}")
-
-
-def _pdist(t, x):
-    d = np.abs(t - wrap01(x))
-    return np.minimum(d, 1.0 - d)
 
 
 def _arc_midpoint(s, t):
@@ -214,7 +207,7 @@ class ConcentratedSeminormError(RuntimeError):
     """No window scale keeps the seminorm small everywhere."""
 
 
-def fractional_admissible_scale(c, band=DEFAULT_BAND, num=40):
+def fractional_admissible_scale(c):
     """Window radius and distortion scale from seminorm smallness.
 
     Finds the largest ladder radius rho <= 1/4 such that every sample-centered
@@ -227,8 +220,8 @@ def fractional_admissible_scale(c, band=DEFAULT_BAND, num=40):
     qualifies (the seminorm is concentrated; use the concentration pipeline).
     """
     n = c.n
-    grid = tangent_density(c, band)
-    ladder = np.geomspace(4.0 / n, 0.25, num)
+    grid = tangent_density(c)
+    ladder = np.geomspace(4.0 / n, 0.25, LADDER_SIZE)
     rho = None
     for r in ladder[::-1]:
         k = ball_halfwidth(r, n)

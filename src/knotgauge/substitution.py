@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import uniform_filter1d
 
-from .curve import Curve, param_distance, wrap01
-from .sobolev import Annulus, bilip_constant, seminorm_sq, tangent_density
+from .curve import Curve, param_distance, param_window, wrap01
+from .sobolev import (Annulus, Arc, bilip_constant, seminorm_sq,
+                      tangent_density, window_mask)
 
 #: smallness ceiling for nonempty good sets
 THETA1 = 144.0 ** -4
@@ -28,6 +29,9 @@ THETA2 = 256.0 ** -4
 
 #: slack absorbing grid and floating-point error in verified inequalities
 VERIFY_SLACK = 1e-9
+
+#: random sample pairs for the intrinsic-distance comparison
+N_PAIRS = 10_000
 
 
 def theta3(L):
@@ -99,7 +103,7 @@ def mean_direction(c, x, r, theta):
 
 
 def _mean_direction_raw(c, x, r, theta, sem):
-    m = _ball_mask(c.n, x, r)
+    m = param_window(c.n, x, r)
     u = c.tangents()[m]
     mean = u.mean(axis=0)
     norm = float(np.linalg.norm(mean))
@@ -112,13 +116,6 @@ def _mean_direction_raw(c, x, r, theta, sem):
                          dev_nu_sq=dev_nu, annulus_seminorm=sem,
                          dev_mean_ok=dev_mean < 8.0 * theta,
                          dev_nu_ok=dev_nu < 32.0 * theta)
-
-
-def _ball_mask(n, x, r):
-    t = np.arange(n) / n
-    d = np.abs(t - wrap01(x))
-    d = np.minimum(d, 1.0 - d)
-    return d <= r + 1e-15
 
 
 # -- excess field and maximal function ------------------------------------------
@@ -141,7 +138,7 @@ def excess_field(c, x, r, nu=None, theta=None):
         if theta is None:
             raise ValueError("need nu or theta to determine the direction")
         nu = mean_direction(c, x, r, theta).nu
-    m = _ball_mask(c.n, x, r)
+    m = param_window(c.n, x, r)
     e = np.where(m[:, None], c.tangents() - nu[None, :], 0.0)
     mag = np.sqrt(np.einsum("ij,ij->i", e, e))
     return ExcessField(center=wrap01(x), radius=r, nu=np.asarray(nu),
@@ -201,8 +198,8 @@ def good_sets(c, x, theta, r, excess=None):
         excess = excess_field(c, x, r, theta=theta)
     ok = excess.maximal <= theta ** 0.25
     idx = np.arange(c.n)
-    near_plus = _ball_mask(c.n, x + r / 2.0, r / 8.0)
-    near_minus = _ball_mask(c.n, x - r / 2.0, r / 8.0)
+    near_plus = param_window(c.n, x + r / 2.0, r / 8.0)
+    near_minus = param_window(c.n, x - r / 2.0, r / 8.0)
     g_plus = idx[ok & near_plus]
     g_minus = idx[ok & near_minus]
     if g_plus.size == 0 or g_minus.size == 0:
@@ -245,8 +242,7 @@ class SubstitutionReport:
         return all(self.flags.values())
 
 
-def substitute(c, centers, theta=None, r=None, seed=0, n_pairs=10_000,
-               full_pairs=False):
+def substitute(c, centers, theta=None, r=None, seed=0):
     """Replace the subarcs around ``centers`` by straight segments.
 
     Endpoints are the good samples nearest to center +- r/2 (ties toward the
@@ -256,8 +252,8 @@ def substitute(c, centers, theta=None, r=None, seed=0, n_pairs=10_000,
     * sup distance below ``6 theta^(1/8) r``,
     * distortion on the one-sided windows below ``1 + 4 theta^(1/4)``,
     * two-sided intrinsic-distance comparison with factor ``1 - 2 theta^(1/8)``
-      on sampled pairs plus every pair straddling a replaced window, and the
-      length ratio in ``[1 - 2 theta^(1/8), 1]``,
+      on ``N_PAIRS`` sampled pairs plus every pair straddling a replaced
+      window, and the length ratio in ``[1 - 2 theta^(1/8), 1]``,
     * bilipschitz constant of the modified curve at most twice the original.
 
     With an empty center list the input curve is returned unchanged.
@@ -303,7 +299,7 @@ def substitute(c, centers, theta=None, r=None, seed=0, n_pairs=10_000,
     modified_norm, window_of = _build_modified(work, endpoints)
 
     report = _verify(work, modified_norm, centers, endpoints, window_of,
-                     theta, r, L, dirs, ann_sems, seed, n_pairs, full_pairs)
+                     theta, r, L, dirs, ann_sems, seed)
     report.original = c
     report.modified = Curve(modified_norm.samples * scale)
     return report
@@ -355,7 +351,7 @@ def _build_modified(work, endpoints):
 
 
 def _verify(work, mod, centers, endpoints, window_of, theta, r, L,
-            dirs, ann_sems, seed, n_pairs, full_pairs):
+            dirs, ann_sems, seed):
     n = work.n
     t8 = theta ** 0.125
     t4 = theta ** 0.25
@@ -371,7 +367,7 @@ def _verify(work, mod, centers, endpoints, window_of, theta, r, L,
     wd_ok = True
     for (x, (xm, xp)) in zip(centers, endpoints):
         for lo, hi in (((x - r) % 1.0, xp), (xm, (x + r) % 1.0)):
-            idx = _arc_indices(n, lo, hi)
+            idx = np.flatnonzero(window_mask(Arc(lo, hi), n))
             sub_d = d_mod[np.ix_(idx, idx)]
             sub_c = ch_mod[np.ix_(idx, idx)]
             iu = np.triu_indices(idx.size, k=1)
@@ -381,16 +377,13 @@ def _verify(work, mod, centers, endpoints, window_of, theta, r, L,
             wd_ok = wd_ok and v < 1.0 + 4.0 * t4 + VERIFY_SLACK
 
     rng = np.random.default_rng(seed)
-    ii = rng.integers(0, n, size=n_pairs)
-    jj = rng.integers(0, n, size=n_pairs)
+    ii = rng.integers(0, n, size=N_PAIRS)
+    jj = rng.integers(0, n, size=N_PAIRS)
     keep = ii != jj
     pairs_i, pairs_j = ii[keep], jj[keep]
     straddle_i, straddle_j = _straddling_pairs(window_of)
     pairs_i = np.concatenate([pairs_i, straddle_i])
     pairs_j = np.concatenate([pairs_j, straddle_j])
-    if full_pairs:
-        iu = np.triu_indices(n, k=1)
-        pairs_i, pairs_j = iu
     dm = d_mod[pairs_i, pairs_j]
     do = d_orig[pairs_i, pairs_j]
     ratio_min = float(np.min(dm / do))
@@ -402,8 +395,7 @@ def _verify(work, mod, centers, endpoints, window_of, theta, r, L,
     length_ok = (1.0 - 2.0 * t8 - VERIFY_SLACK <= length_ratio
                  <= 1.0 + VERIFY_SLACK)
 
-    iu = np.triu_indices(n, k=1)
-    bilip_mod = float(np.max(d_mod[iu] / ch_mod[iu]))
+    bilip_mod = bilip_constant(mod)
     bilip_ok = bilip_mod <= 2.0 * L + VERIFY_SLACK
 
     nu_delta_gaps = []
@@ -439,14 +431,6 @@ def _verify(work, mod, centers, endpoints, window_of, theta, r, L,
         annulus_seminorms=list(ann_sems), flags=flags)
 
 
-def _arc_indices(n, lo, hi):
-    """Sample indices on the forward arc from parameter lo to hi."""
-    span = wrap01(hi - lo)
-    t = np.arange(n) / n
-    d = wrap01(t - lo)
-    return np.where(d <= span + 1e-15)[0]
-
-
 def _straddling_pairs(window_of):
     inside = np.where(window_of >= 0)[0]
     outside = np.where(window_of < 0)[0]
@@ -462,7 +446,7 @@ def _difference_quotients_ok(work, x, r, nu, endpoint_idx, theta):
     t4 = theta ** 0.25
     t8 = theta ** 0.125
     n = work.n
-    ball = np.where(_ball_mask(n, x, r))[0]
+    ball = np.flatnonzero(param_window(n, x, r))
     t = np.arange(n) / n
     for i0 in endpoint_idx:
         rest = ball[ball != i0]

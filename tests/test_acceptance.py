@@ -15,6 +15,7 @@ import pytest
 
 import knotgauge as kg
 from knotgauge.curve import param_distance
+from knotgauge.mobius import CERTIFICATE_CADENCE
 from knotgauge.substitution import (GoodSetError, SubstitutionError,
                                     excess_field, theta4)
 from util import ellipse_curve, kinked_track, track_curve, fourier_curve
@@ -246,7 +247,7 @@ def test_criterion_10_symmetric_descent():
     ok = res.status == "ok"
     ok &= all(b < a for a, b in zip(energies, energies[1:]))
     ok &= max(s.residual for s in res.states) < 1e-9
-    ok &= len(res.certificates) == 500 // cfg.certificate_cadence
+    ok &= len(res.certificates) == 500 // CERTIFICATE_CADENCE
     ok &= all(cert.passed for _, cert in res.certificates)
 
     cfg2 = kg.MinimizeConfig(initial=ellipse_curve(1.25, 0.8, 128), p=2,

@@ -1,6 +1,9 @@
+import ast
 import csv
+import importlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,3 +150,20 @@ class TestConcentrate:
     def test_unknown_args(self):
         with pytest.raises(SystemExit):
             main(["concentrate", "--bogus"])
+
+
+def test_traced_layers_resolve():
+    """Every name the benchmark's traced run wraps exists in knotgauge."""
+    tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    tree = ast.parse(tracing.read_text())
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets]
+                  == ["LAYERS"])
+    for layer, attrs in layers.items():
+        module = importlib.import_module(f"knotgauge.{layer}")
+        for attr in attrs:
+            obj = module
+            for part in attr.split("."):
+                obj = getattr(obj, part, None)
+            assert callable(obj), f"knotgauge.{layer}.{attr}"

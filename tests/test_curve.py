@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from knotgauge.curve import (Curve, CurveError, circle, discrete_tangent,
-                             hausdorff_distance, load_curve, param_distance,
-                             resample_arclength, save_curve)
+from knotgauge.curve import (Curve, CurveError, circle, hausdorff_distance,
+                             load_curve, param_distance, resample_arclength,
+                             save_curve)
 from util import fourier_curve, rigid_moved
 
 
@@ -104,8 +104,8 @@ class TestResample:
         out = resample_arclength(c, 128)
         assert out.n == 128
         # vertices on the input polyline: distance to it is ~0
-        from knotgauge.curve import points_to_polyline_distance
-        d = points_to_polyline_distance(out.samples, c)
+        from knotgauge.curve import point_to_polyline_distance
+        d = point_to_polyline_distance(out.samples, c)
         assert d.max() < 1e-12
         # length as measured along the input is preserved by construction;
         # the output polygon length is shorter only by corner cutting
@@ -130,7 +130,7 @@ class TestResample:
 
 
 def test_discrete_tangent_unit(trefoil512):
-    u = discrete_tangent(trefoil512)
+    u = trefoil512.tangents()
     assert np.allclose(np.linalg.norm(u, axis=1), 1.0, atol=1e-14)
 
 

@@ -53,6 +53,12 @@ class TestEnergy:
         from util import fourier_curve
         assert mobius_energy(fourier_curve(3, n=128)) >= 0.0
 
+    def test_cached_matrices_untouched(self, trefoil512):
+        mobius_energy(trefoil512)
+        for m in (trefoil512.chord_matrix(), trefoil512.intrinsic_matrix()):
+            assert not m.flags.writeable
+            assert np.all(np.diagonal(m) == 0.0)
+
     def test_scale_invariance(self, trefoil512):
         scaled = Curve(3.0 * trefoil512.samples)
         assert mobius_energy(scaled) == pytest.approx(

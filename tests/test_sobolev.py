@@ -8,7 +8,7 @@ from knotgauge.distortion import local_distortion
 from knotgauge.sobolev import (Annulus, Arc, Ball, ConcentratedSeminormError,
                                ball_window_sums, bilip_constant,
                                bilip_lower_bound, fractional_admissible_scale,
-                               seminorm_sq, tangent_density)
+                               seminorm_sq, tangent_density, window_mask)
 from util import rigid_moved, torus_knot_raw
 
 # full-domain squared seminorm of the unit-speed circle computed by the same
@@ -63,6 +63,8 @@ class TestSeminorm:
         m[:11] = True
         assert sums[0] == pytest.approx(
             grid.density[np.ix_(m, m)].sum(), rel=1e-9)
+        # windows are closed: sample 279 sits at r + 5e-18 after rounding
+        assert window_mask(Ball(215 / 2048 + 0.025, 0.00625), 2048)[279]
 
 
 class TestBilipBound:
