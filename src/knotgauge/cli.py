@@ -70,10 +70,11 @@ def _cmd_analyze(args):
             for r, v, pair in zip(prof.scales, prof.values, prof.pairs):
                 i, j = pair if pair else (-1, -1)
                 w.writerow([repr(float(r)), repr(float(v)), i, j])
+    grid = tangent_density(c) if args.seminorm or args.density else None
     if args.seminorm:
-        report["seminorm_sq"] = seminorm_sq(c)
+        report["seminorm_sq"] = seminorm_sq(c, grid=grid)
         try:
-            rho, r_gamma = fractional_admissible_scale(c)
+            rho, r_gamma = fractional_admissible_scale(c, grid=grid)
             report["rho"] = rho
             report["r_gamma"] = r_gamma
         except ConcentratedSeminormError as exc:
@@ -81,7 +82,6 @@ def _cmd_analyze(args):
             report["r_gamma"] = None
             report["seminorm_note"] = str(exc)
     if args.density:
-        grid = tangent_density(c)
         with open(args.density, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["i", "j", "value"])

@@ -202,10 +202,11 @@ def _uniform_smallness_radius(grid, detection, ladder, n):
     members = detection.cluster_members % n
     dens[members, :] = 0.0
     dens[:, members] = 0.0
+    worst = ball_window_sums(
+        dens, [ball_halfwidth(r, n) for r in ladder]).max(axis=1)
     best = None
-    for r in ladder:
-        k = ball_halfwidth(r, n)
-        if float(ball_window_sums(dens, k).max()) <= 2.0 * detection.eps:
+    for r, w in zip(ladder, worst):
+        if float(w) <= 2.0 * detection.eps:
             best = float(r)
         else:
             break

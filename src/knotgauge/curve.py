@@ -25,6 +25,12 @@ WINDOW_SLACK = 1e-15
 RESAMPLE_TOL = 1e-12
 RESAMPLE_MAX_ITER = 200
 
+#: entries per row block when an N x N pair matrix is built or scanned, so
+#: that the (rows, N, 3) temporaries stay under 0.5 MB whatever N is: they
+#: stay in cache, and the allocator reuses their memory instead of taking
+#: fresh pages from the system for every block
+PAIR_BLOCK = 1 << 14
+
 
 class CurveError(ValueError):
     """Invalid curve data (too few samples, repeated points, bad file)."""
@@ -39,6 +45,13 @@ def param_distance(s, t):
     """Periodic distance |s - t| on R/Z, always in [0, 1/2]."""
     d = abs(wrap01(s) - wrap01(t))
     return min(d, 1.0 - d)
+
+
+def row_blocks(n):
+    """Slices of consecutive rows of an N x N pair matrix, about
+    ``PAIR_BLOCK`` entries each."""
+    rows = max(1, PAIR_BLOCK // n)
+    return [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
 def param_window(n, x, r, inner=None):
@@ -59,8 +72,10 @@ class Curve:
     """Closed polyline in R^3 sampled at N uniform parameters on R/Z.
 
     Vertices are immutable after construction; derived quantities (edge
-    lengths, cumulative arclength, tangents, pair matrices) are cached
-    lazily, and the cached pair matrices are read-only.
+    vectors and lengths, cumulative arclength, tangents, pair matrices, the
+    pair table of :mod:`knotgauge.distortion`) are cached lazily, and the
+    cached edge vectors, squared edge lengths, pair matrices and pair table
+    are read-only.
     """
 
     def __init__(self, samples):
@@ -93,12 +108,25 @@ class Curve:
         return np.arange(self.n) / self.n
 
     def edge_vectors(self):
-        return np.roll(self._q, -1, axis=0) - self._q
+        """Edge vectors q_{i+1} - q_i (read-only)."""
+        if "edge_vectors" not in self._cache:
+            e = np.roll(self._q, -1, axis=0) - self._q
+            e.setflags(write=False)
+            self._cache["edge_vectors"] = e
+        return self._cache["edge_vectors"]
+
+    def edge_sq_lengths(self):
+        """Squared edge lengths |q_{i+1} - q_i|^2 (read-only)."""
+        if "edge_sq_lengths" not in self._cache:
+            e = self.edge_vectors()
+            sq = np.einsum("ij,ij->i", e, e)
+            sq.setflags(write=False)
+            self._cache["edge_sq_lengths"] = sq
+        return self._cache["edge_sq_lengths"]
 
     def edge_lengths(self):
         if "edge_lengths" not in self._cache:
-            e = self.edge_vectors()
-            self._cache["edge_lengths"] = np.sqrt(np.einsum("ij,ij->i", e, e))
+            self._cache["edge_lengths"] = np.sqrt(self.edge_sq_lengths())
         return self._cache["edge_lengths"]
 
     def cum_lengths(self):
@@ -129,13 +157,25 @@ class Curve:
         d = abs(s[i % self.n] - s[j % self.n])
         return float(min(d, total - d))
 
+    def intrinsic_rows(self, rows):
+        """Rows ``rows`` (a slice) of :meth:`intrinsic_matrix`.
+
+        Read from the cached matrix once it is built; until then computed
+        alone with the same per-entry expression, so that a caller scanning
+        the pairs once needs no N x N array.
+        """
+        if "intrinsic_matrix" in self._cache:
+            return self._cache["intrinsic_matrix"][rows]
+        s = self.cum_lengths()[:-1]
+        d = np.abs(s[rows, None] - s[None, :])
+        return np.minimum(d, self.total_length() - d)
+
     def intrinsic_matrix(self):
         """N x N matrix of shorter-arc lengths between all sample pairs."""
         if "intrinsic_matrix" not in self._cache:
-            s = self.cum_lengths()[:-1]
-            total = self.total_length()
-            d = np.abs(s[:, None] - s[None, :])
-            m = np.minimum(d, total - d)
+            m = np.empty((self.n, self.n))
+            for b in row_blocks(self.n):
+                m[b] = self.intrinsic_rows(b)
             m.setflags(write=False)
             self._cache["intrinsic_matrix"] = m
         return self._cache["intrinsic_matrix"]
@@ -144,8 +184,14 @@ class Curve:
         """N x N matrix of euclidean vertex distances."""
         if "chord_matrix" not in self._cache:
             q = self._q
-            diff = q[:, None, :] - q[None, :, :]
-            m = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+            m = np.empty((self.n, self.n))
+            blocks = row_blocks(self.n)
+            diff = np.empty((blocks[0].stop, self.n, 3))
+            for b in blocks:
+                db = diff[:b.stop - b.start]
+                np.subtract(q[b, None, :], q[None, :, :], out=db)
+                np.einsum("ijk,ijk->ij", db, db, out=m[b])
+                np.sqrt(m[b], out=m[b])
             m.setflags(write=False)
             self._cache["chord_matrix"] = m
         return self._cache["chord_matrix"]
@@ -173,18 +219,36 @@ def point_to_polyline_distance(points, c):
 
     Projects onto every edge (clamped) and takes the minimum; exact for
     polygons, O(P * N).  Returns a float for one point, else a (P,) array.
+    The points are taken in blocks of about ``PAIR_BLOCK`` point-edge
+    pairs through one set of (rows, N, 3) work arrays that every block
+    reuses, so a Hausdorff distance at N=2048 needs under 1 MB of
+    temporaries.
     """
     p = np.asarray(points, dtype=float)
+    q = p.reshape(-1, 3)
     a = c.samples
     v = c.edge_vectors()
-    vv = np.einsum("ij,ij->i", v, v)
-    # foot of the perpendicular at a + t v, clamped to the edge
-    w = p[..., None, :] - a
-    t = np.einsum("...ij,ij->...i", w, v) / vv
-    np.clip(t, 0.0, 1.0, out=t)
-    diff = w - t[..., None] * v
-    d = np.sqrt(np.einsum("...ij,...ij->...i", diff, diff).min(axis=-1))
-    return float(d) if p.ndim == 1 else d
+    vv = c.edge_sq_lengths()
+    rows = max(1, min(len(q), PAIR_BLOCK // c.n))
+    w = np.empty((rows, c.n, 3))
+    tv = np.empty_like(w)
+    t = np.empty((rows, c.n))
+    d = np.empty(len(q))
+    for lo in range(0, len(q), rows):
+        hi = min(lo + rows, len(q))
+        if hi - lo < rows:
+            w, tv, t = w[:hi - lo], tv[:hi - lo], t[:hi - lo]
+        # foot of the perpendicular at a + t v, clamped to the edge
+        np.subtract(q[lo:hi, None, :], a, w)
+        np.einsum("pij,ij->pi", w, v, out=t)
+        np.divide(t, vv, t)
+        np.clip(t, 0.0, 1.0, t)
+        np.multiply(t[..., None], v, tv)
+        np.subtract(w, tv, w)
+        np.einsum("pij,pij->pi", w, w, out=t)
+        t.min(axis=1, out=d[lo:hi])
+    np.sqrt(d, d)
+    return float(d[0]) if p.ndim == 1 else d.reshape(p.shape[:-1])
 
 
 def hausdorff_distance(a, b):
@@ -194,18 +258,9 @@ def hausdorff_distance(a, b):
     measured against the full polyline of the other, which avoids O(1/N)
     phase artifacts of plain vertex-to-vertex evaluation.
     """
-    d_ab = _directed_vertex_polyline(a, b)
-    d_ba = _directed_vertex_polyline(b, a)
+    d_ab = float(point_to_polyline_distance(a.samples, b).max())
+    d_ba = float(point_to_polyline_distance(b.samples, a).max())
     return max(d_ab, d_ba)
-
-
-def _directed_vertex_polyline(a, b, chunk=512):
-    worst = 0.0
-    q = a.samples
-    for lo in range(0, a.n, chunk):
-        d = point_to_polyline_distance(q[lo:lo + chunk], b)
-        worst = max(worst, float(d.max()))
-    return worst
 
 
 # -- resampling ---------------------------------------------------------------

@@ -331,7 +331,9 @@ def minimize_symmetric(cfg):
 
 
 def _state(it, cur, energy, step, gmax, spec):
-    return EnergyState(iteration=it, curve=cur, energy=energy,
+    # a cache-free copy, so the states do not keep every iterate's pair
+    # matrices and pair table alive
+    return EnergyState(iteration=it, curve=Curve(cur.samples), energy=energy,
                        gradient_norm=gmax, step=step,
                        residual=symmetry_residual(cur, spec),
                        bilip=bilip_constant(cur))

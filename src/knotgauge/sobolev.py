@@ -15,9 +15,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import uniform_filter1d
 
-from .curve import param_distance, param_window, wrap01
+from .curve import param_distance, param_window, row_blocks, wrap01
 from .distortion import LADDER_SIZE
 
 DEFAULT_BAND = 2
@@ -98,15 +97,17 @@ def tangent_density(c, band=DEFAULT_BAND):
     n = c.n
     h = 1.0 / n
     t = np.arange(n) * h
-    dt = np.abs(t[:, None] - t[None, :])
-    dt = np.minimum(dt, 1.0 - dt)
-    diff = u[:, None, :] - u[None, :, :]
-    du2 = np.einsum("ijk,ijk->ij", diff, diff)
     idx = np.arange(n)
-    sep = np.abs(idx[:, None] - idx[None, :])
-    sep = np.minimum(sep, n - sep)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dens = np.where(sep > band, du2 / (dt * dt) * h * h, 0.0)
+    dens = np.empty((n, n))
+    for b in row_blocks(n):
+        dt = np.abs(t[b, None] - t[None, :])
+        dt = np.minimum(dt, 1.0 - dt)
+        diff = u[b, None, :] - u[None, :, :]
+        du2 = np.einsum("ijk,ijk->ij", diff, diff)
+        sep = np.abs(idx[b, None] - idx[None, :])
+        sep = np.minimum(sep, n - sep)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dens[b] = np.where(sep > band, du2 / (dt * dt) * h * h, 0.0)
     return SeminormGrid(h=h, band=band, density=dens, total=float(dens.sum()))
 
 
@@ -189,15 +190,36 @@ def ball_halfwidth(r, n):
 def ball_window_sums(density, k):
     """Density mass of B_{k*h}(x_i) x B_{k*h}(x_i) for every center i.
 
-    Circular moving-window sums along both axes; O(N^2) for all centers.
+    ``k`` is one halfwidth, giving an (N,) array, or a sequence of them,
+    giving one row per halfwidth.  One (N+1) x (N+1) summed-area table
+    (Crow 1984) is built per call and dropped on return; a window that
+    wraps around 0 is split into at most two index intervals, so each
+    center costs O(1) and each halfwidth O(N) after the O(N^2) table.  The
+    sums agree with direct summation to a few ulps of the total mass.
     """
     n = density.shape[0]
-    w = 2 * k + 1
-    if w >= n:
-        return np.full(n, density.sum())
-    s1 = uniform_filter1d(density, size=w, axis=1, mode="wrap") * w
-    s2 = uniform_filter1d(s1, size=w, axis=0, mode="wrap") * w
-    return np.diagonal(s2).copy()
+    table = np.zeros((n + 1, n + 1))
+    np.cumsum(density, axis=0, out=table[1:, 1:])
+    np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
+
+    def block(a, b, c, d):
+        return table[b, d] - table[a, d] - table[b, c] + table[a, c]
+
+    centers = np.arange(n)
+    ks = np.atleast_1d(k)
+    sums = np.empty((ks.size, n))
+    for row, kk in zip(sums, ks):
+        if 2 * kk + 1 >= n:
+            row[:] = table[n, n]
+            continue
+        lo, hi = centers - kk, centers + kk + 1
+        # [a1, b1) inside [0, N), [a2, b2) the part wrapped around 0
+        a1, b1 = np.maximum(lo, 0), np.minimum(hi, n)
+        a2 = np.where(lo < 0, lo + n, 0)
+        b2 = np.where(lo < 0, n, np.maximum(hi - n, 0))
+        row[:] = (block(a1, b1, a1, b1) + block(a1, b1, a2, b2)
+                  + block(a2, b2, a1, b1) + block(a2, b2, a2, b2))
+    return sums[0] if np.ndim(k) == 0 else sums
 
 
 # -- admissible scale from the seminorm ----------------------------------------
@@ -207,26 +229,28 @@ class ConcentratedSeminormError(RuntimeError):
     """No window scale keeps the seminorm small everywhere."""
 
 
-def fractional_admissible_scale(c):
+def fractional_admissible_scale(c, grid=None):
     """Window radius and distortion scale from seminorm smallness.
 
     Finds the largest ladder radius rho <= 1/4 such that every sample-centered
     window B_rho(x) has squared seminorm below 1/8 (seminorm below
     1/(2*sqrt(2))), then sets sigma = min chord over pairs at parameter
     distance >= 2*rho and returns (rho, sigma/4).  The resulting scale keeps
-    the local distortion at or below 2/sqrt(3).
+    the local distortion at or below 2/sqrt(3).  ``grid`` is the curve's
+    :func:`tangent_density`, built here when not given.
 
     Raises :class:`ConcentratedSeminormError` when no ladder radius
     qualifies (the seminorm is concentrated; use the concentration pipeline).
     """
     n = c.n
-    grid = tangent_density(c)
+    if grid is None or grid.band != DEFAULT_BAND:
+        grid = tangent_density(c)
     ladder = np.geomspace(4.0 / n, 0.25, LADDER_SIZE)
+    worst = ball_window_sums(
+        grid.density, [ball_halfwidth(r, n) for r in ladder]).max(axis=1)
     rho = None
-    for r in ladder[::-1]:
-        k = ball_halfwidth(r, n)
-        worst = float(ball_window_sums(grid.density, k).max())
-        if worst < WINDOW_SMALLNESS_SQ:
+    for r, w in zip(ladder[::-1], worst[::-1]):
+        if float(w) < WINDOW_SMALLNESS_SQ:
             rho = float(r)
             break
     if rho is None:
@@ -234,11 +258,14 @@ def fractional_admissible_scale(c):
             "seminorm too concentrated; use concentration pipeline")
     chord = c.chord_matrix()
     t = np.arange(n) / n
-    dt = np.abs(t[:, None] - t[None, :])
-    dt = np.minimum(dt, 1.0 - dt)
-    far = dt >= 2.0 * rho
-    if not np.any(far):
+    sigma = math.inf
+    for b in row_blocks(n):
+        dt = np.abs(t[b, None] - t[None, :])
+        dt = np.minimum(dt, 1.0 - dt)
+        far = dt >= 2.0 * rho
+        if np.any(far):
+            sigma = min(sigma, float(np.min(chord[b][far])))
+    if sigma == math.inf:
         raise ConcentratedSeminormError(
             "no pairs beyond 2*rho; curve too coarse for the scale search")
-    sigma = float(np.min(chord[far]))
     return rho, sigma / 4.0

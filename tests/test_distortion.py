@@ -71,7 +71,67 @@ class TestDistortionAngle:
             distortion_angle(math.pi / 2)
 
 
+def _triu_local_distortion(c, r):
+    """Reference: the direct scan of every pair i < j with 0 < chord <= 2r
+    that the pair table replaces."""
+    chord = c.chord_matrix()
+    intr = c.intrinsic_matrix()
+    mask = (chord > 0.0) & (chord <= 2.0 * r)
+    iu = np.triu_indices(c.n, k=1)
+    sel = mask[iu]
+    if not np.any(sel):
+        return 1.0, None
+    ratios = intr[iu][sel] / chord[iu][sel]
+    k = int(np.argmax(ratios))
+    return max(float(ratios[k]), 1.0), (int(iu[0][sel][k]),
+                                        int(iu[1][sel][k]))
+
+
+def _probe_scales(c):
+    """Scales whose 2r lies just below, at and just above every sampled
+    chord, plus one below all chords and one above."""
+    chords = np.unique(c.chord_matrix())
+    two_r = np.concatenate([np.nextafter(chords, 0.0), chords,
+                            np.nextafter(chords, np.inf), [1e-9, 1e9]])
+    r = two_r / 2.0
+    return r[r > 0.0]
+
+
+def _lattice_polygon(path):
+    """Closed planar polygon through integer points joined by unit steps."""
+    steps = {"r": (1, 0), "l": (-1, 0), "u": (0, 1), "d": (0, -1)}
+    q = [(0, 0)]
+    for s in path[:-1]:
+        dx, dy = steps[s]
+        q.append((q[-1][0] + dx, q[-1][1] + dy))
+    return Curve(np.array([(x, y, 0.0) for x, y in q], dtype=float))
+
+
 class TestLocalDistortion:
+    @pytest.mark.parametrize("n", [8, 9, 31, 64])
+    def test_matches_triu_scan_random(self, n):
+        c = Curve(np.random.default_rng(n).normal(size=(n, 3)))
+        for r in _probe_scales(c):
+            assert local_distortion(c, r) == _triu_local_distortion(c, r)
+
+    @pytest.mark.parametrize("path", [
+        "rrrruuuullllddd" + "d",                 # square, side 4
+        "rruulldd" + "llddrruu",                 # figure eight, origin twice
+    ])
+    def test_matches_triu_scan_ties(self, path):
+        # integer arcs and square-root chords: symmetric pairs share their
+        # ratio exactly, so the lexicographic tie-break decides the pair
+        c = _lattice_polygon(path)
+        chord, intr = c.chord_matrix(), c.intrinsic_matrix()
+        iu = np.triu_indices(c.n, k=1)
+        tied = 0
+        for r in _probe_scales(c):
+            v, pair = local_distortion(c, r)
+            assert (v, pair) == _triu_local_distortion(c, r)
+            sel = (chord[iu] > 0.0) & (chord[iu] <= 2.0 * r)
+            tied += np.count_nonzero(intr[iu][sel] / chord[iu][sel] == v) > 1
+        assert tied > 0
+
     def test_circle_global(self, circle2048):
         v, pair = global_distortion(circle2048)
         assert v == pytest.approx(math.pi / 2, abs=1e-3)

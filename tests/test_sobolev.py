@@ -67,6 +67,25 @@ class TestSeminorm:
         assert window_mask(Ball(215 / 2048 + 0.025, 0.00625), 2048)[279]
 
 
+    @pytest.mark.parametrize("n", [101, 128])
+    @pytest.mark.parametrize("kind", ["seminorm", "asymmetric"])
+    def test_window_sums_match_explicit(self, n, kind):
+        if kind == "seminorm":
+            density = tangent_density(torus_knot_raw(2, 3, 2.0, 0.5, n),
+                                      band=0).density
+        else:
+            density = np.random.default_rng(n).random((n, n))
+        total = density.sum()
+        ks = [0, 1, 4, n // 3, (n - 1) // 2]
+        sums = ball_window_sums(density, ks)
+        for k, row in zip(ks, sums):
+            np.testing.assert_array_equal(row, ball_window_sums(density, k))
+            for i in range(n):
+                w = np.arange(i - k, i + k + 1) % n
+                assert abs(row[i] - density[np.ix_(w, w)].sum()) \
+                    <= 1e-12 * total
+
+
 class TestBilipBound:
     def test_straight_segment_equality(self):
         # rectangle resampled to uniform speed; the arc [0.05, 0.25] lies on
