@@ -2,9 +2,9 @@
 
 __version__ = "0.1.0"
 
-from .curve import (Curve, CurveError, circle, hausdorff_distance,
-                    load_curve, param_distance, resample_arclength,
-                    save_curve)
+from .curve import (Curve, CurveError, EmbeddingError, circle,
+                    hausdorff_distance, load_curve, param_distance,
+                    resample_arclength, save_curve)
 from .distortion import (DistortionAngle, DistortionProfile,
                          EquivalenceCertificate, arc_chord_ratio,
                          certify_equivalence, distortion_angle,
@@ -15,7 +15,7 @@ from .sobolev import (bilip_constant, bilip_lower_bound,
                       fractional_admissible_scale, seminorm_sq)
 from .substitution import (GoodSets, SubstitutionReport, good_sets,
                            mean_direction, substitute, theta3, theta4,
-                           THETA1, THETA2)
+                           THETA1)
 from .flowfield import (DirectionSet, FlowTrace, direction_set, flow,
                         vector_field)
 from .mobius import (EnergyState, MinimizeConfig, MinimizeResult,

@@ -3,8 +3,7 @@
 Subcommands: analyze, certify, substitute, flow, minimize, concentrate.
 Exit codes: 0 success with all verification flags true, 2 inconclusive
 equivalence certificate, 1 error or failed verification.  Reports are JSON,
-profiles and traces CSV; identical inputs and seed reproduce reports
-bit-for-bit.
+profiles and traces CSV; identical inputs reproduce reports bit-for-bit.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ def _report_header(args, inputs):
     return {
         "command": " ".join(sys.argv[1:]) if sys.argv[1:] else args.cmd,
         "version": __version__,
-        "seed": getattr(args, "seed", 0),
         "inputs": {p: _digest(p) for p in inputs},
     }
 
@@ -116,7 +114,7 @@ def _cmd_substitute(args):
     c = load_curve(args.curve)
     centers = [float(v) for v in args.center.split(",") if v]
     theta = None if args.theta == "auto" else float(args.theta)
-    rep = substitute(c, centers, theta=theta, r=args.r, seed=args.seed)
+    rep = substitute(c, centers, theta=theta, r=args.r)
     if args.out:
         save_curve(rep.modified, args.out)
     report = _report_header(args, [args.curve])
@@ -183,7 +181,7 @@ def _cmd_minimize(args):
 def _cmd_concentrate(args):
     c = load_curve(args.curve)
     ref = load_curve(args.reference) if args.reference else None
-    rep = pipeline(c, args.p, reference=ref, eps=args.eps, seed=args.seed)
+    rep = pipeline(c, args.p, reference=ref, eps=args.eps)
     if args.out:
         save_curve(rep.modified, args.out)
     report = _report_header(
@@ -214,8 +212,6 @@ def build_parser():
     ap = argparse.ArgumentParser(
         prog="knotgauge",
         description="Certified knot-equivalence analysis of sampled curves")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for all stochastic verification sampling")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("analyze", help="distortion profile and seminorm")

@@ -25,7 +25,7 @@ from .distortion import LADDER_SIZE, certify_equivalence, local_distortion
 from .sobolev import (ball_halfwidth, ball_window_sums, bilip_constant,
                       tangent_density, ConcentratedSeminormError,
                       fractional_admissible_scale)
-from .substitution import substitute, theta4
+from .substitution import _substitute, theta4
 
 #: concentration mass quantum: 2/3 - 6/pi^2 (makes 1/sqrt(1 - 3 eps/2) = pi/3)
 EPSILON = 2.0 / 3.0 - 6.0 / math.pi**2
@@ -238,7 +238,7 @@ class ConcentrationReport:
         return all(self.flags.values())
 
 
-def pipeline(c, p, reference=None, eps=EPSILON, seed=0):
+def pipeline(c, p, reference=None, eps=EPSILON):
     """Detect concentrations, cut them out, and verify the final bounds.
 
     Works on the unit-length normalization of the input; the modified curve
@@ -281,8 +281,8 @@ def pipeline(c, p, reference=None, eps=EPSILON, seed=0):
             r_gamma = None
     sel = select_scale(work, det, p, L, r_gamma=r_gamma, theta=theta,
                        grid=grid)
-    rep = substitute(work, [i / work.n for i in det.indices],
-                     theta=theta, r=sel.r_bar, seed=seed)
+    rep = _substitute(work, L, grid, [i / work.n for i in det.indices],
+                      theta, sel.r_bar)
     modified = rep.modified
 
     final_scale = sel.r_bar / (16.0 * L)

@@ -31,9 +31,16 @@ RESAMPLE_MAX_ITER = 200
 #: fresh pages from the system for every block
 PAIR_BLOCK = 1 << 14
 
+#: non-adjacent samples closer than this fraction of the length coincide
+COINCIDENCE_TOL = 1e-14
+
 
 class CurveError(ValueError):
     """Invalid curve data (too few samples, repeated points, bad file)."""
+
+
+class EmbeddingError(CurveError):
+    """Non-adjacent samples coincide: no ratio or energy over them exists."""
 
 
 def wrap01(s):
@@ -52,6 +59,19 @@ def row_blocks(n):
     ``PAIR_BLOCK`` entries each."""
     rows = max(1, PAIR_BLOCK // n)
     return [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+
+
+def pair_ratio_range(num_rows, den_rows, n):
+    """Extrema of num/den over the pairs i != j (i < j for symmetric
+    matrices) of two N x N matrices given by rows, ``num_rows(b)`` for each
+    block ``b`` of :func:`row_blocks`; the diagonal's 0/0 is NaN, skipped."""
+    lo, hi = np.inf, -np.inf
+    for b in row_blocks(n):
+        with np.errstate(invalid="ignore"):
+            ratio = num_rows(b) / den_rows(b)
+        lo = min(lo, float(np.fmin.reduce(ratio, axis=None)))
+        hi = max(hi, float(np.fmax.reduce(ratio, axis=None)))
+    return lo, hi
 
 
 def param_window(n, x, r, inner=None):
@@ -73,9 +93,9 @@ class Curve:
 
     Vertices are immutable after construction; derived quantities (edge
     vectors and lengths, cumulative arclength, tangents, pair matrices, the
-    pair table of :mod:`knotgauge.distortion`) are cached lazily, and the
-    cached edge vectors, squared edge lengths, pair matrices and pair table
-    are read-only.
+    embeddedness verdict, the pair table of :mod:`knotgauge.distortion`)
+    are cached lazily, and the cached edge vectors, squared edge lengths,
+    pair matrices and pair table are read-only.
     """
 
     def __init__(self, samples):
@@ -157,8 +177,27 @@ class Curve:
         d = abs(s[i % self.n] - s[j % self.n])
         return float(min(d, total - d))
 
+    def check_embedded(self):
+        """Raise :class:`EmbeddingError` when a non-adjacent chord is at most
+        ``COINCIDENCE_TOL`` times the length; the row-block scan of
+        :meth:`chord_matrix` runs once per curve."""
+        if "embedded" not in self._cache:
+            n, chord = self.n, self.chord_matrix()
+            tol = COINCIDENCE_TOL * self.total_length()
+            embedded = True
+            for b in row_blocks(n):
+                close = chord[b] <= tol
+                # only more close pairs than the diagonal need a look
+                if np.count_nonzero(close) > b.stop - b.start:
+                    i, j = np.nonzero(close)
+                    sep = np.abs(i + b.start - j)
+                    embedded &= not np.any(np.minimum(sep, n - sep) > 1)
+            self._cache["embedded"] = embedded
+        if not self._cache["embedded"]:
+            raise EmbeddingError("not embedded: non-adjacent samples coincide")
+
     def intrinsic_rows(self, rows):
-        """Rows ``rows`` (a slice) of :meth:`intrinsic_matrix`.
+        """Rows ``rows`` (a slice or index array) of :meth:`intrinsic_matrix`.
 
         Read from the cached matrix once it is built; until then computed
         alone with the same per-entry expression, so that a caller scanning

@@ -110,26 +110,27 @@ def _pair_table(c):
     """The curve's pair table, built once and cached read-only with it.
 
     Three arrays ``(chords, values, pairs)`` in increasing chord: the pairs
-    i < j with chord > 0 that become the running maximum of intrinsic/chord
-    (ties to the lexicographically smallest pair) when the pairs are taken
-    in chord order, with their chords and ratios.  The local distortion at
+    i < j that become the running maximum of intrinsic/chord (ties to the
+    lexicographically smallest pair) when the pairs are taken in chord
+    order, with their chords and ratios.  The local distortion at
     scale r is then the last entry with chord <= 2r.  The ratios are those
     of :meth:`~knotgauge.curve.Curve.chord_matrix` and
     :meth:`~knotgauge.curve.Curve.intrinsic_matrix`, the latter read through
     :meth:`~knotgauge.curve.Curve.intrinsic_rows`, so the build does not
     make the curve hold its N x N intrinsic matrix.  Building costs
     O(N^2 log N) time, in row blocks of small temporaries, and the table
-    itself is short (93 entries for a trefoil at N=2048).
+    itself is short (93 entries for a trefoil at N=2048).  Raises
+    :class:`~knotgauge.curve.EmbeddingError` on coincident samples.
     """
     if "pair_table" not in c._cache:
+        c.check_embedded()
         n = c.n
         chord = c.chord_matrix()
         cols = np.arange(n)
         parts = []
         for b in row_blocks(n):
-            sub = chord[b]
-            flat = np.flatnonzero((cols > cols[b, None]) & (sub > 0.0))
-            lengths = sub.ravel()[flat]
+            flat = np.flatnonzero(cols > cols[b, None])
+            lengths = chord[b].ravel()[flat]
             ratios = c.intrinsic_rows(b).ravel()[flat] / lengths
             parts.append(_state_changes(lengths, ratios, flat + b.start * n,
                                         n))
@@ -145,7 +146,7 @@ def _pair_table(c):
 def local_distortion(c, r):
     """Local distortion of the sampled curve at scale r, with its argmax pair.
 
-    Supremum of intrinsic/chord over sample pairs with 0 < chord <= 2r;
+    Supremum of intrinsic/chord over sample pairs with chord <= 2r;
     returns 1.0 with pair None when no pair qualifies.  Ties resolve to the
     lexicographically smallest (i, j).
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import Curve, resample_arclength
+from .curve import Curve, EmbeddingError, resample_arclength
 from .distortion import certify_equivalence, distortion_threshold
 from .sobolev import bilip_constant
 
@@ -32,10 +32,6 @@ ARMIJO_C = 1e-4
 MAX_HALVINGS = 40
 #: descent iterations between equivalence certificates
 CERTIFICATE_CADENCE = 10
-
-
-class EmbeddingError(RuntimeError):
-    """Non-adjacent samples coincide; the energy is undefined."""
 
 
 # -- initializers -----------------------------------------------------------------
@@ -69,17 +65,6 @@ def _weights(c):
     return 0.5 * (np.roll(e, 1) + e)
 
 
-def _check_embedded(c):
-    chord = c.chord_matrix()
-    n = c.n
-    idx = np.arange(n)
-    sep = np.abs(idx[:, None] - idx[None, :])
-    sep = np.minimum(sep, n - sep)
-    nonadj = sep > 1
-    if np.min(chord[nonadj]) <= 1e-14 * c.total_length():
-        raise EmbeddingError("not embedded: non-adjacent samples coincide")
-
-
 def _pair_kernel(c):
     """Chord and arc matrices with unit diagonals, and the pair kernel
     F = 1/chord^2 - 1/arc^2 with zero diagonal; all three are fresh
@@ -95,8 +80,9 @@ def _pair_kernel(c):
 
 def mobius_energy(c):
     """Discrete self-repulsion energy; nonnegative, zero only in the limit of
-    vanishing curvature, scale and rigid-motion invariant."""
-    _check_embedded(c)
+    vanishing curvature, scale and rigid-motion invariant.  Raises
+    :class:`~knotgauge.curve.EmbeddingError` on coincident samples."""
+    c.check_embedded()
     w = _weights(c)
     _, _, f = _pair_kernel(c)
     return float(w @ f @ w)
@@ -108,7 +94,7 @@ def mobius_gradient(c):
     Accounts for the chord term, the shorter-arc lengths (through the edges
     each arc traverses), and the trapezoidal weights.
     """
-    _check_embedded(c)
+    c.check_embedded()
     n = c.n
     q = c.samples
     w = _weights(c)

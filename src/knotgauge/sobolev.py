@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import param_distance, param_window, row_blocks, wrap01
+from .curve import (pair_ratio_range, param_distance, param_window,
+                    row_blocks, wrap01)
 from .distortion import LADDER_SIZE
 
 DEFAULT_BAND = 2
@@ -171,12 +172,13 @@ def bilip_constant(c):
 
     For an arclength-resampled curve the intrinsic distance is the scaled
     parameter distance, so 1/L is the infimum of chord over intrinsic
-    distance.  L >= pi/2 for any closed curve.
+    distance.  L >= pi/2 for any closed curve.  One row-block scan of all
+    pairs, cheaper than building the pair table that holds the same value;
+    raises :class:`~knotgauge.curve.EmbeddingError` on coincident samples.
     """
+    c.check_embedded()
     chord = c.chord_matrix()
-    intr = c.intrinsic_matrix()
-    iu = np.triu_indices(c.n, k=1)
-    return float(np.max(intr[iu] / chord[iu]))
+    return pair_ratio_range(c.intrinsic_rows, lambda b: chord[b], c.n)[1]
 
 
 # -- window sweeps -------------------------------------------------------------

@@ -18,20 +18,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import uniform_filter1d
 
-from .curve import Curve, param_distance, param_window, wrap01
+from .curve import (Curve, pair_ratio_range, param_distance, param_window,
+                    wrap01)
 from .sobolev import (Annulus, Arc, bilip_constant, seminorm_sq,
                       tangent_density, window_mask)
 
 #: smallness ceiling for nonempty good sets
 THETA1 = 144.0 ** -4
-#: smallness ceiling for the sup-distance and windowed-distortion bounds
-THETA2 = 256.0 ** -4
 
 #: slack absorbing grid and floating-point error in verified inequalities
 VERIFY_SLACK = 1e-9
-
-#: random sample pairs for the intrinsic-distance comparison
-N_PAIRS = 10_000
 
 
 def theta3(L):
@@ -242,7 +238,7 @@ class SubstitutionReport:
         return all(self.flags.values())
 
 
-def substitute(c, centers, theta=None, r=None, seed=0):
+def substitute(c, centers, theta=None, r=None):
     """Replace the subarcs around ``centers`` by straight segments.
 
     Endpoints are the good samples nearest to center +- r/2 (ties toward the
@@ -252,23 +248,32 @@ def substitute(c, centers, theta=None, r=None, seed=0):
     * sup distance below ``6 theta^(1/8) r``,
     * distortion on the one-sided windows below ``1 + 4 theta^(1/4)``,
     * two-sided intrinsic-distance comparison with factor ``1 - 2 theta^(1/8)``
-      on ``N_PAIRS`` sampled pairs plus every pair straddling a replaced
-      window, and the length ratio in ``[1 - 2 theta^(1/8), 1]``,
+      over all sample pairs, and the length ratio in
+      ``[1 - 2 theta^(1/8), 1]``,
     * bilipschitz constant of the modified curve at most twice the original.
 
     With an empty center list the input curve is returned unchanged.
     """
+    if r is None:
+        raise SubstitutionError("substitution radius r is required")
     scale = c.total_length()
     work = Curve(c.samples / scale)
     L = bilip_constant(work)
-    t3 = theta3(L)
     if theta is None:
-        theta = t3 / 2.0
-    if r is None:
-        raise SubstitutionError("substitution radius r is required")
+        theta = theta3(L) / 2.0
     centers = [wrap01(x) for x in centers]
     if not centers:
-        return _trivial_report(c, work, theta, r, L)
+        return _trivial_report(c, theta, r, L)
+    report = _substitute(work, L, None, centers, theta, r)
+    report.original = c
+    report.modified = Curve(report.modified.samples * scale)
+    return report
+
+
+def _substitute(work, L, grid, centers, theta, r):
+    """:func:`substitute` at nonempty wrapped ``centers`` on a unit-length
+    curve whose constant ``L`` and density ``grid`` (None: built here) the
+    caller holds; the report's curves are in ``work``'s units."""
     if not 0.0 < r < 0.25:
         raise SubstitutionError("substitution radius must lie in (0, 1/4)")
     for i, a in enumerate(centers):
@@ -276,14 +281,15 @@ def substitute(c, centers, theta=None, r=None, seed=0):
             if param_distance(a, b) <= 2.0 * r:
                 raise SubstitutionError(
                     f"centers {a} and {b} separated by <= 2r")
+    t3 = theta3(L)
     if not theta <= t3:
         raise SubstitutionError(
             f"theta {theta:.3e} exceeds bilipschitz ceiling {t3:.3e} (L={L:.3f})")
 
     n = work.n
-    grid = tangent_density(work)
-    dirs, excesses, goods, endpoints = [], [], [], []
-    ann_sems = []
+    if grid is None:
+        grid = tangent_density(work)
+    dirs, endpoints, ann_sems = [], [], []
     for x in centers:
         sem = seminorm_sq(work, Annulus(x, r, theta), grid=grid)
         ann_sems.append(sem)
@@ -291,21 +297,15 @@ def substitute(c, centers, theta=None, r=None, seed=0):
         exc = excess_field(work, x, r, nu=md.nu)
         gs = good_sets(work, x, theta, r, excess=exc)
         dirs.append(md)
-        excesses.append(exc)
-        goods.append(gs)
         endpoints.append((_nearest_good(gs.g_minus, x - r / 2.0, n),
                           _nearest_good(gs.g_plus, x + r / 2.0, n)))
 
-    modified_norm, window_of = _build_modified(work, endpoints)
-
-    report = _verify(work, modified_norm, centers, endpoints, window_of,
-                     theta, r, L, dirs, ann_sems, seed)
-    report.original = c
-    report.modified = Curve(modified_norm.samples * scale)
-    return report
+    modified = _build_modified(work, endpoints)
+    return _verify(work, modified, centers, endpoints, theta, r, L, dirs,
+                   ann_sems)
 
 
-def _trivial_report(c, work, theta, r, L):
+def _trivial_report(c, theta, r, L):
     return SubstitutionReport(
         original=c, modified=c, centers=[], endpoints=[], theta=theta, r=r,
         bilip_original=L, bilip_modified=L, linf_distance=0.0,
@@ -336,8 +336,7 @@ def _build_modified(work, endpoints):
     n = work.n
     q = work.samples.copy()
     t = np.arange(n) / n
-    window_of = np.full(n, -1, dtype=int)
-    for ci, (xm, xp) in enumerate(endpoints):
+    for xm, xp in endpoints:
         w = wrap01(xp - xm)
         im = int(round(xm * n)) % n
         ip = int(round(xp * n)) % n
@@ -346,12 +345,10 @@ def _build_modified(work, endpoints):
         frac = d[inside] / w
         q[inside] = work.samples[im] + frac[:, None] * (
             work.samples[ip] - work.samples[im])
-        window_of[inside] = ci
-    return Curve(q), window_of
+    return Curve(q)
 
 
-def _verify(work, mod, centers, endpoints, window_of, theta, r, L,
-            dirs, ann_sems, seed):
+def _verify(work, mod, centers, endpoints, theta, r, L, dirs, ann_sems):
     n = work.n
     t8 = theta ** 0.125
     t4 = theta ** 0.25
@@ -359,16 +356,14 @@ def _verify(work, mod, centers, endpoints, window_of, theta, r, L,
     linf = float(np.max(np.linalg.norm(work.samples - mod.samples, axis=1)))
     linf_ok = linf < 6.0 * t8 * r + VERIFY_SLACK
 
-    d_mod = mod.intrinsic_matrix()
     ch_mod = mod.chord_matrix()
-    d_orig = work.intrinsic_matrix()
 
     window_distortions = []
     wd_ok = True
     for (x, (xm, xp)) in zip(centers, endpoints):
         for lo, hi in (((x - r) % 1.0, xp), (xm, (x + r) % 1.0)):
             idx = np.flatnonzero(window_mask(Arc(lo, hi), n))
-            sub_d = d_mod[np.ix_(idx, idx)]
+            sub_d = mod.intrinsic_rows(idx)[:, idx]
             sub_c = ch_mod[np.ix_(idx, idx)]
             iu = np.triu_indices(idx.size, k=1)
             ratios = sub_d[iu] / sub_c[iu]
@@ -376,18 +371,8 @@ def _verify(work, mod, centers, endpoints, window_of, theta, r, L,
             window_distortions.append(v)
             wd_ok = wd_ok and v < 1.0 + 4.0 * t4 + VERIFY_SLACK
 
-    rng = np.random.default_rng(seed)
-    ii = rng.integers(0, n, size=N_PAIRS)
-    jj = rng.integers(0, n, size=N_PAIRS)
-    keep = ii != jj
-    pairs_i, pairs_j = ii[keep], jj[keep]
-    straddle_i, straddle_j = _straddling_pairs(window_of)
-    pairs_i = np.concatenate([pairs_i, straddle_i])
-    pairs_j = np.concatenate([pairs_j, straddle_j])
-    dm = d_mod[pairs_i, pairs_j]
-    do = d_orig[pairs_i, pairs_j]
-    ratio_min = float(np.min(dm / do))
-    ratio_max = float(np.max(dm / do))
+    ratio_min, ratio_max = pair_ratio_range(mod.intrinsic_rows,
+                                            work.intrinsic_rows, n)
     intrinsic_ok = (ratio_min >= 1.0 - 2.0 * t8 - VERIFY_SLACK
                     and ratio_max <= 1.0 + VERIFY_SLACK)
 
@@ -429,16 +414,6 @@ def _verify(work, mod, centers, endpoints, window_of, theta, r, L,
         intrinsic_ratio_min=ratio_min, intrinsic_ratio_max=ratio_max,
         length_ratio=float(length_ratio), nu_delta_gaps=nu_delta_gaps,
         annulus_seminorms=list(ann_sems), flags=flags)
-
-
-def _straddling_pairs(window_of):
-    inside = np.where(window_of >= 0)[0]
-    outside = np.where(window_of < 0)[0]
-    if inside.size == 0 or outside.size == 0:
-        return np.empty(0, dtype=int), np.empty(0, dtype=int)
-    ii = np.repeat(inside, outside.size)
-    jj = np.tile(outside, inside.size)
-    return ii, jj
 
 
 def _difference_quotients_ok(work, x, r, nu, endpoint_idx, theta):

@@ -125,7 +125,7 @@ def test_criterion_06_substitution_bounds():
         if not seminorm_sq(c, Annulus(x, 0.05, theta)) < theta:
             failures.append((seed, "hypothesis"))
             continue
-        rep = kg.substitute(c, [x], theta=theta, r=0.05, seed=seed)
+        rep = kg.substitute(c, [x], theta=theta, r=0.05)
         t8, t4 = theta ** 0.125, theta ** 0.25
         checks = {
             "linf": rep.linf_distance < 6 * t8 * 0.05,

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from knotgauge.curve import (Curve, CurveError, circle, hausdorff_distance,
-                             load_curve, param_distance, resample_arclength,
-                             save_curve)
+from knotgauge.curve import (Curve, CurveError, EmbeddingError, circle,
+                             hausdorff_distance, load_curve, param_distance,
+                             resample_arclength, save_curve)
 from util import fourier_curve, rigid_moved
 
 
@@ -21,6 +21,16 @@ def test_rejects_repeated_consecutive():
     q[5] = q[4]
     with pytest.raises(CurveError, match="coincide"):
         Curve(q)
+
+
+def test_embedded_exempts_adjacent_pairs():
+    # one ulp apart: far below the tolerance, but as an edge it is allowed
+    q = circle(32).samples.copy()
+    q[4] = np.nextafter(q[3], 2.0)
+    Curve(q).check_embedded()
+    q[6] = np.nextafter(q[3], -2.0)
+    with pytest.raises(EmbeddingError):
+        Curve(q).check_embedded()
 
 
 def test_rejects_nonfinite():

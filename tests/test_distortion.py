@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from knotgauge.curve import Curve, circle
+from knotgauge.curve import Curve, EmbeddingError, circle
 from knotgauge.distortion import (G_INF, arc_chord_ratio, certify_equivalence,
                                   distortion_angle, distortion_profile,
                                   distortion_threshold, find_admissible_scale,
                                   global_distortion, local_distortion,
                                   scale_ladder, threshold_angle)
+from knotgauge.mobius import mobius_energy
+from knotgauge.sobolev import bilip_constant
 from util import rigid_moved, torus_knot_raw
 
 G3 = distortion_threshold(3)
@@ -122,6 +124,13 @@ class TestLocalDistortion:
         # integer arcs and square-root chords: symmetric pairs share their
         # ratio exactly, so the lexicographic tie-break decides the pair
         c = _lattice_polygon(path)
+        if len(np.unique(c.samples, axis=0)) < c.n:
+            # a vertex visited twice: no ratio over that pair exists
+            for measure in (lambda d: local_distortion(d, 1.0),
+                            global_distortion, bilip_constant, mobius_energy):
+                with pytest.raises(EmbeddingError):
+                    measure(_lattice_polygon(path))
+            return
         chord, intr = c.chord_matrix(), c.intrinsic_matrix()
         iu = np.triu_indices(c.n, k=1)
         tied = 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from knotgauge.sobolev import (Annulus, Arc, Ball, ConcentratedSeminormError,
                                ball_window_sums, bilip_constant,
                                bilip_lower_bound, fractional_admissible_scale,
                                seminorm_sq, tangent_density, window_mask)
-from util import rigid_moved, torus_knot_raw
+from util import rigid_moved, torus_knot_raw, track_curve
 
 # full-domain squared seminorm of the unit-speed circle computed by the same
 # quadrature at N=8192 (refinement oracle; continuum value 30.5443)
@@ -141,7 +142,37 @@ class TestBilipBound:
         assert violations == 0
 
 
+def _triu_bilip_constant(c):
+    """Reference: the gather over every pair i < j that the row-block scan
+    replaces."""
+    iu = np.triu_indices(c.n, k=1)
+    return float(np.max(c.intrinsic_matrix()[iu] / c.chord_matrix()[iu]))
+
+
 class TestBilipConstant:
+    @pytest.mark.parametrize("maker", [
+        lambda: Curve(np.random.default_rng(8).normal(size=(8, 3))),
+        lambda: Curve(np.random.default_rng(31).normal(size=(31, 3))),
+        lambda: Curve(np.random.default_rng(257).normal(size=(257, 3))),
+        lambda: torus_knot_raw(2, 3, n=1024),
+        lambda: track_curve(n=2048, seed=3)[0],
+    ])
+    def test_matches_triu_scan(self, maker):
+        # a fresh curve for each side, so neither reads the other's cache
+        assert bilip_constant(maker()) == _triu_bilip_constant(maker())
+
+    def test_scan_memory(self):
+        c = torus_knot_raw(2, 3, n=2048)
+        c.chord_matrix()
+        tracemalloc.start()
+        try:
+            bilip_constant(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense intrinsic matrix alone would take 32 MB
+        assert peak < 4 << 20
+
     def test_circle(self, circle512):
         # closed-curve floor: the circle's constant is its distortion pi/2
         assert bilip_constant(circle512) == pytest.approx(math.pi / 2,

@@ -3,7 +3,7 @@ import pytest
 
 from knotgauge.curve import Curve, circle
 from knotgauge.sobolev import Annulus, bilip_constant, seminorm_sq
-from knotgauge.substitution import (THETA1, THETA2, SubstitutionError,
+from knotgauge.substitution import (THETA1, SubstitutionError,
                                     excess_field, good_sets, mean_direction,
                                     substitute, theta3, theta4,
                                     weak_type_check)
@@ -11,9 +11,8 @@ from util import fourier_curve, track_curve
 
 
 def test_threshold_ordering():
-    assert THETA2 < THETA1 < 1 / 8
     for L in (1.0, 2.0, 10.0, 100.0):
-        assert theta4(L) < theta3(L) < THETA2
+        assert theta4(L) < theta3(L) < THETA1 < 1 / 8
 
 
 class TestMeanDirection:
@@ -108,7 +107,7 @@ class TestSubstitute:
         c, x = track_curve(n=2048, seed=3)
         L = bilip_constant(c)
         theta = theta3(L) / 2
-        rep = substitute(c, [x], theta=theta, r=0.05, seed=0)
+        rep = substitute(c, [x], theta=theta, r=0.05)
         assert rep.all_pass, rep.flags
         assert rep.linf_distance < 6 * theta ** 0.125 * 0.05
         assert all(v < 1 + 4 * theta ** 0.25 for v in rep.window_distortions)
@@ -119,13 +118,13 @@ class TestSubstitute:
 
     def test_straight_window_unchanged(self):
         c, x = track_curve(n=1024, seed=None, cap_noise=0.0)
-        rep = substitute(c, [x], r=0.04, seed=0)  # theta defaults to the ceiling/2
+        rep = substitute(c, [x], r=0.04)  # theta defaults to the ceiling/2
         assert rep.linf_distance < 1e-12
 
     def test_two_centers_orbit(self):
         c, x = track_curve(n=2048, seed=5)
         L = bilip_constant(c)
-        rep = substitute(c, [x, x + 0.5], theta=theta3(L) / 2, r=0.04, seed=1)
+        rep = substitute(c, [x, x + 0.5], theta=theta3(L) / 2, r=0.04)
         assert rep.all_pass
         assert len(rep.endpoints) == 2
 
@@ -147,11 +146,25 @@ class TestSubstitute:
 
     def test_seeded_reproducibility(self):
         c, x = track_curve(n=1024, seed=2)
-        rep1 = substitute(c, [x], r=0.04, seed=5)
-        rep2 = substitute(c, [x], r=0.04, seed=5)
+        rep1 = substitute(c, [x], r=0.04)
+        rep2 = substitute(c, [x], r=0.04)
         assert rep1.intrinsic_ratio_min == rep2.intrinsic_ratio_min
         assert rep1.intrinsic_ratio_max == rep2.intrinsic_ratio_max
         assert np.array_equal(rep1.modified.samples, rep2.modified.samples)
+
+    def test_intrinsic_extrema_cover_all_pairs(self):
+        # a unit-length input, so that substitute's normalization is the
+        # identity and the dense reference reads the very curves it checks
+        c0, x = track_curve(n=256, seed=1)
+        c = Curve(c0.samples / c0.total_length())
+        assert c.total_length() == 1.0
+        rep = substitute(c, [x], r=0.05)
+        off = ~np.eye(c.n, dtype=bool)
+        ratios = (rep.modified.intrinsic_matrix()[off]
+                  / c.intrinsic_matrix()[off])
+        assert ratios.min() < 1.0 < ratios.max()
+        assert rep.intrinsic_ratio_min == ratios.min()
+        assert rep.intrinsic_ratio_max == ratios.max()
 
     def test_modified_speed_structure(self):
         # off the windows the modified curve keeps unit speed; on them the
@@ -159,7 +172,7 @@ class TestSubstitute:
         c, x = track_curve(n=2048, seed=9)
         L = bilip_constant(c)
         theta = theta3(L) / 2
-        rep = substitute(c, [x], theta=theta, r=0.05, seed=0)
+        rep = substitute(c, [x], theta=theta, r=0.05)
         mod = Curve(rep.modified.samples / rep.modified.total_length())
         e = mod.edge_lengths() * mod.n
         lo = 1 - 2 * theta ** 0.125 - 1e-6
