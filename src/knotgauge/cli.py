@@ -36,9 +36,19 @@ def _digest(path):
     return h.hexdigest()[:16]
 
 
+def _command(argv):
+    """``argv`` without the options naming output files and their paths, so
+    that a report does not depend on where it is written."""
+    outputs = ("--out", "--profile", "--density", "--report", "--trace",
+               "--log")
+    path = {i + 1 for i, a in enumerate(argv) if a in outputs}
+    return " ".join(a for i, a in enumerate(argv)
+                    if i not in path and a.split("=")[0] not in outputs)
+
+
 def _report_header(args, inputs):
     return {
-        "command": " ".join(sys.argv[1:]) if sys.argv[1:] else args.cmd,
+        "command": _command(args.argv),
         "version": __version__,
         "inputs": {p: _digest(p) for p in inputs},
     }
@@ -68,11 +78,10 @@ def _cmd_analyze(args):
             for r, v, pair in zip(prof.scales, prof.values, prof.pairs):
                 i, j = pair if pair else (-1, -1)
                 w.writerow([repr(float(r)), repr(float(v)), i, j])
-    grid = tangent_density(c) if args.seminorm or args.density else None
     if args.seminorm:
-        report["seminorm_sq"] = seminorm_sq(c, grid=grid)
+        report["seminorm_sq"] = seminorm_sq(c)
         try:
-            rho, r_gamma = fractional_admissible_scale(c, grid=grid)
+            rho, r_gamma = fractional_admissible_scale(c)
             report["rho"] = rho
             report["r_gamma"] = r_gamma
         except ConcentratedSeminormError as exc:
@@ -83,9 +92,10 @@ def _cmd_analyze(args):
         with open(args.density, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["i", "j", "value"])
-            ii, jj = np.nonzero(grid.density)
+            density = tangent_density(c).density
+            ii, jj = np.nonzero(density)
             for i, j in zip(ii, jj):
-                w.writerow([int(i), int(j), repr(float(grid.density[i, j]))])
+                w.writerow([int(i), int(j), repr(float(density[i, j]))])
     if args.out:
         _write_json(args.out, report)
     print(f"n={c.n} length={c.total_length():.6g} "
@@ -278,6 +288,7 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else argv
     try:
         return args.func(args)
     except (CurveError, SubstitutionError, FlowError, ConcentrationError,

@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import Curve, param_distance, param_window
+from .curve import Curve, param_distance
 from .distortion import LADDER_SIZE, certify_equivalence, local_distortion
-from .sobolev import (ball_halfwidth, ball_window_sums, bilip_constant,
-                      tangent_density, ConcentratedSeminormError,
-                      fractional_admissible_scale)
+from .sobolev import (Annulus, ball_halfwidth, ball_window_sums,
+                      bilip_constant, seminorm_sq, tangent_density,
+                      ConcentratedSeminormError, fractional_admissible_scale)
 from .substitution import _substitute, theta4
 
 #: concentration mass quantum: 2/3 - 6/pi^2 (makes 1/sqrt(1 - 3 eps/2) = pi/3)
@@ -59,7 +59,7 @@ class Detection:
         return math.ceil(self.total_mass / self.eps)
 
 
-def detect_concentrations(c, eps=EPSILON, grid=None):
+def detect_concentrations(c, eps=EPSILON):
     """Find parameters whose smallest resolvable window exceeds ``eps``.
 
     Flags every sample whose diagonal window of halfwidth 4 grid steps holds
@@ -68,8 +68,7 @@ def detect_concentrations(c, eps=EPSILON, grid=None):
     of representatives always satisfies the counting bound
     ``len <= ceil(total mass / eps)`` because their windows are disjoint.
     """
-    if grid is None:
-        grid = tangent_density(c)
+    grid = tangent_density(c)
     n = c.n
     k = DETECT_HALFWIDTH
     masses = ball_window_sums(grid.density, k)
@@ -80,7 +79,7 @@ def detect_concentrations(c, eps=EPSILON, grid=None):
     for a_i, i in enumerate(reps):
         for j in reps[a_i + 1:]:
             gap = param_distance(i / n, j / n)
-            mass = offdiag_window_mass(c, i, j, r, grid=grid)
+            mass = offdiag_window_mass(c, i, j, r)
             if mass > 64.0 * r * r / (gap * gap):
                 notes.append(
                     f"off-diagonal window ({i}, {j}) mass {mass:.3e} above "
@@ -114,15 +113,13 @@ def _coalesce(flagged, masses, n, gap):
     return reps, flagged
 
 
-def offdiag_window_mass(c, i, j, r, grid=None):
+def offdiag_window_mass(c, i, j, r):
     """Seminorm mass of B_r(t_i) x B_r(t_j); decays like r^2 off-diagonal."""
-    if grid is None:
-        grid = tangent_density(c)
     n = c.n
     k = ball_halfwidth(r, n)
     rows = (np.arange(i - k, i + k + 1)) % n
     cols = (np.arange(j - k, j + k + 1)) % n
-    return float(grid.density[np.ix_(rows, cols)].sum())
+    return float(tangent_density(c).density[np.ix_(rows, cols)].sum())
 
 
 # -- working-scale selection -------------------------------------------------------
@@ -139,32 +136,30 @@ class ScaleSelection:
     theta: float
 
 
-def select_scale(c, detection, p, L, r_gamma=None, theta=None, grid=None):
+def select_scale(c, detection, p, L, r_gamma=None):
     """Working radius for the substitution at the detected centers.
 
     Minimum of: (i) the largest ladder prefix on which every center's
-    annulus (window minus the inner ball of relative width theta) carries
-    mass below theta/2, (ii) the seminorm-based distortion scale of a
-    reference when available, (iii) 1/(4p), (iv) a quarter of the minimal
-    center separation, and (v) the largest radius at which all windows away
-    from the concentration clusters hold mass at most 2 eps.
+    annulus (window minus the inner ball of relative width theta =
+    theta4(L)) carries mass below theta/2, (ii) the seminorm-based
+    distortion scale of a reference when available, (iii) 1/(4p), (iv) a
+    quarter of the minimal center separation, and (v) the largest radius at
+    which all windows away from the concentration clusters hold mass at
+    most 2 eps.
     """
     if not detection.indices:
         raise ConcentrationError("no concentrations detected; nothing to cut")
-    if grid is None:
-        grid = tangent_density(c)
     n = c.n
-    if theta is None:
-        theta = theta4(L)
+    theta = theta4(L)
     ladder = np.geomspace((2.0 * DETECT_HALFWIDTH + 2.0) / n, 0.25,
                           LADDER_SIZE)
 
-    ann = _annulus_prefix_scale(grid, detection.indices, ladder, theta, n)
+    ann = _annulus_prefix_scale(c, detection.indices, ladder, theta)
     if ann is None:
         raise ConcentrationError(
             "concentration too sharp for grid; increase N "
             "(no ladder radius keeps all center annuli below theta/2)")
-    rho_mu = _uniform_smallness_radius(grid, detection, ladder, n)
+    rho_mu = _uniform_smallness_radius(c, detection, ladder)
 
     bounds = [ann, 1.0 / (4.0 * p)]
     sep = None
@@ -182,28 +177,24 @@ def select_scale(c, detection, p, L, r_gamma=None, theta=None, grid=None):
                           separation_bound=sep, r_gamma=r_gamma, theta=theta)
 
 
-def _annulus_prefix_scale(grid, centers, ladder, theta, n):
+def _annulus_prefix_scale(c, centers, ladder, theta):
+    # the ladder starts at 10/N, so every annulus holds at least 20 samples
     best = None
     for r in ladder:
-        ok = True
-        for i in centers:
-            m = param_window(n, i / n, r, inner=theta * r)
-            if m.sum() >= 2 and grid.density[np.ix_(m, m)].sum() >= theta / 2:
-                ok = False
-                break
-        if not ok:
+        if any(seminorm_sq(c, Annulus(i / c.n, r, theta)) >= theta / 2
+               for i in centers):
             break
         best = float(r)
     return best
 
 
-def _uniform_smallness_radius(grid, detection, ladder, n):
-    dens = grid.density.copy()
-    members = detection.cluster_members % n
+def _uniform_smallness_radius(c, detection, ladder):
+    dens = tangent_density(c).density.copy()
+    members = detection.cluster_members % c.n
     dens[members, :] = 0.0
     dens[:, members] = 0.0
     worst = ball_window_sums(
-        dens, [ball_halfwidth(r, n) for r in ladder]).max(axis=1)
+        dens, [ball_halfwidth(r, c.n) for r in ladder]).max(axis=1)
     best = None
     for r, w in zip(ladder, worst):
         if float(w) <= 2.0 * detection.eps:
@@ -255,8 +246,7 @@ def pipeline(c, p, reference=None, eps=EPSILON):
             raise ConcentrationError(
                 "reference must share the curve's sample count")
         ref = Curve(reference.samples / length)
-    grid = tangent_density(work)
-    det = detect_concentrations(work, eps=eps, grid=grid)
+    det = detect_concentrations(work, eps=eps)
     L = bilip_constant(work)
     theta = theta4(L)
 
@@ -276,13 +266,14 @@ def pipeline(c, p, reference=None, eps=EPSILON):
     r_gamma = None
     if ref is not None:
         try:
-            _, r_gamma = fractional_admissible_scale(ref)
+            # on a copy: ``ref`` lives on to the certificate, and would
+            # otherwise hold its N x N density through the substitution
+            _, r_gamma = fractional_admissible_scale(Curve(ref.samples))
         except ConcentratedSeminormError:
             r_gamma = None
-    sel = select_scale(work, det, p, L, r_gamma=r_gamma, theta=theta,
-                       grid=grid)
-    rep = _substitute(work, L, grid, [i / work.n for i in det.indices],
-                      theta, sel.r_bar)
+    sel = select_scale(work, det, p, L, r_gamma=r_gamma)
+    rep = _substitute(work, L, [i / work.n for i in det.indices], theta,
+                      sel.r_bar)
     modified = rep.modified
 
     final_scale = sel.r_bar / (16.0 * L)

@@ -93,9 +93,9 @@ class Curve:
 
     Vertices are immutable after construction; derived quantities (edge
     vectors and lengths, cumulative arclength, tangents, pair matrices, the
-    embeddedness verdict, the pair table of :mod:`knotgauge.distortion`)
-    are cached lazily, and the cached edge vectors, squared edge lengths,
-    pair matrices and pair table are read-only.
+    embeddedness verdict, and via :meth:`cached` the pair table and one
+    tangent density per band) are cached lazily; every cached array but
+    the edge lengths, arclengths and tangents is read-only.
     """
 
     def __init__(self, samples):
@@ -112,6 +112,17 @@ class Curve:
         q.setflags(write=False)
         self._q = q
         self._cache = {}
+
+    def cached(self, key, build):
+        """The tuple ``build()`` returns, built on the first request for
+        ``key`` only and kept with the curve, its arrays read-only."""
+        if key not in self._cache:
+            value = build()
+            for a in value:
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
+            self._cache[key] = value
+        return self._cache[key]
 
     # -- basic accessors ---------------------------------------------------
 

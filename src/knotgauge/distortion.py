@@ -107,7 +107,8 @@ def _state_changes(lengths, ratios, flat, n):
 
 
 def _pair_table(c):
-    """The curve's pair table, built once and cached read-only with it.
+    """The curve's pair table, which :func:`local_distortion` caches
+    read-only with it.
 
     Three arrays ``(chords, values, pairs)`` in increasing chord: the pairs
     i < j that become the running maximum of intrinsic/chord (ties to the
@@ -122,25 +123,19 @@ def _pair_table(c):
     itself is short (93 entries for a trefoil at N=2048).  Raises
     :class:`~knotgauge.curve.EmbeddingError` on coincident samples.
     """
-    if "pair_table" not in c._cache:
-        c.check_embedded()
-        n = c.n
-        chord = c.chord_matrix()
-        cols = np.arange(n)
-        parts = []
-        for b in row_blocks(n):
-            flat = np.flatnonzero(cols > cols[b, None])
-            lengths = chord[b].ravel()[flat]
-            ratios = c.intrinsic_rows(b).ravel()[flat] / lengths
-            parts.append(_state_changes(lengths, ratios, flat + b.start * n,
-                                        n))
-        lengths, ratios, flat = _state_changes(
-            *(np.concatenate(p) for p in zip(*parts)), n)
-        table = (lengths, ratios, np.stack(np.divmod(flat, n), axis=1))
-        for a in table:
-            a.setflags(write=False)
-        c._cache["pair_table"] = table
-    return c._cache["pair_table"]
+    c.check_embedded()
+    n = c.n
+    chord = c.chord_matrix()
+    cols = np.arange(n)
+    parts = []
+    for b in row_blocks(n):
+        flat = np.flatnonzero(cols > cols[b, None])
+        lengths = chord[b].ravel()[flat]
+        ratios = c.intrinsic_rows(b).ravel()[flat] / lengths
+        parts.append(_state_changes(lengths, ratios, flat + b.start * n, n))
+    lengths, ratios, flat = _state_changes(
+        *(np.concatenate(p) for p in zip(*parts)), n)
+    return lengths, ratios, np.stack(np.divmod(flat, n), axis=1)
 
 
 def local_distortion(c, r):
@@ -156,7 +151,7 @@ def local_distortion(c, r):
     """
     if r <= 0:
         raise ValueError("scale r must be positive")
-    chords, values, pairs = _pair_table(c)
+    chords, values, pairs = c.cached("pair_table", lambda: _pair_table(c))
     k = int(np.searchsorted(chords, 2.0 * r, side="right")) - 1
     if k < 0:
         return 1.0, None

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,22 +79,24 @@ def _arc_midpoint(s, t):
 # -- seminorm grid -----------------------------------------------------------
 
 
-@dataclass
-class SeminormGrid:
+class SeminormGrid(NamedTuple):
     """Pairwise density of the squared tangent seminorm.
 
     ``density[i, j] = |u_i - u_j|^2 / |t_i - t_j|^2 * h^2`` off the excluded
     diagonal band; symmetric, zero on the band; ``total`` is the full double
     sum.
     """
-    h: float
-    band: int
     density: np.ndarray
     total: float
 
 
 def tangent_density(c, band=DEFAULT_BAND):
-    """Build the seminorm grid of an arclength-resampled curve."""
+    """The seminorm grid of an arclength-resampled curve, built once per
+    ``band`` and cached read-only with the curve."""
+    return c.cached(("tangent_density", band), lambda: _density(c, band))
+
+
+def _density(c, band):
     u = c.tangents()
     n = c.n
     h = 1.0 / n
@@ -109,17 +112,16 @@ def tangent_density(c, band=DEFAULT_BAND):
         sep = np.minimum(sep, n - sep)
         with np.errstate(divide="ignore", invalid="ignore"):
             dens[b] = np.where(sep > band, du2 / (dt * dt) * h * h, 0.0)
-    return SeminormGrid(h=h, band=band, density=dens, total=float(dens.sum()))
+    return SeminormGrid(density=dens, total=float(dens.sum()))
 
 
-def seminorm_sq(c, window=None, band=DEFAULT_BAND, grid=None):
+def seminorm_sq(c, window=None, band=DEFAULT_BAND):
     """Squared seminorm restricted to a parameter window.
 
     Sums the density over pairs with both parameters inside the window;
     windows holding fewer than two samples give 0 with a warning.
     """
-    if grid is None or grid.band != band:
-        grid = tangent_density(c, band)
+    grid = tangent_density(c, band)
     if window is None:
         return grid.total
     m = window_mask(window, c.n)
@@ -231,25 +233,23 @@ class ConcentratedSeminormError(RuntimeError):
     """No window scale keeps the seminorm small everywhere."""
 
 
-def fractional_admissible_scale(c, grid=None):
+def fractional_admissible_scale(c):
     """Window radius and distortion scale from seminorm smallness.
 
     Finds the largest ladder radius rho <= 1/4 such that every sample-centered
     window B_rho(x) has squared seminorm below 1/8 (seminorm below
     1/(2*sqrt(2))), then sets sigma = min chord over pairs at parameter
     distance >= 2*rho and returns (rho, sigma/4).  The resulting scale keeps
-    the local distortion at or below 2/sqrt(3).  ``grid`` is the curve's
-    :func:`tangent_density`, built here when not given.
+    the local distortion at or below 2/sqrt(3).
 
     Raises :class:`ConcentratedSeminormError` when no ladder radius
     qualifies (the seminorm is concentrated; use the concentration pipeline).
     """
     n = c.n
-    if grid is None or grid.band != DEFAULT_BAND:
-        grid = tangent_density(c)
     ladder = np.geomspace(4.0 / n, 0.25, LADDER_SIZE)
     worst = ball_window_sums(
-        grid.density, [ball_halfwidth(r, n) for r in ladder]).max(axis=1)
+        tangent_density(c).density,
+        [ball_halfwidth(r, n) for r in ladder]).max(axis=1)
     rho = None
     for r, w in zip(ladder[::-1], worst[::-1]):
         if float(w) < WINDOW_SMALLNESS_SQ:

@@ -20,8 +20,7 @@ from scipy.ndimage import uniform_filter1d
 
 from .curve import (Curve, pair_ratio_range, param_distance, param_window,
                     wrap01)
-from .sobolev import (Annulus, Arc, bilip_constant, seminorm_sq,
-                      tangent_density, window_mask)
+from .sobolev import Annulus, Arc, bilip_constant, seminorm_sq, window_mask
 
 #: smallness ceiling for nonempty good sets
 THETA1 = 144.0 ** -4
@@ -238,7 +237,7 @@ class SubstitutionReport:
         return all(self.flags.values())
 
 
-def substitute(c, centers, theta=None, r=None):
+def substitute(c, centers, theta=None, *, r):
     """Replace the subarcs around ``centers`` by straight segments.
 
     Endpoints are the good samples nearest to center +- r/2 (ties toward the
@@ -254,8 +253,6 @@ def substitute(c, centers, theta=None, r=None):
 
     With an empty center list the input curve is returned unchanged.
     """
-    if r is None:
-        raise SubstitutionError("substitution radius r is required")
     scale = c.total_length()
     work = Curve(c.samples / scale)
     L = bilip_constant(work)
@@ -264,16 +261,16 @@ def substitute(c, centers, theta=None, r=None):
     centers = [wrap01(x) for x in centers]
     if not centers:
         return _trivial_report(c, theta, r, L)
-    report = _substitute(work, L, None, centers, theta, r)
+    report = _substitute(work, L, centers, theta, r)
     report.original = c
     report.modified = Curve(report.modified.samples * scale)
     return report
 
 
-def _substitute(work, L, grid, centers, theta, r):
+def _substitute(work, L, centers, theta, r):
     """:func:`substitute` at nonempty wrapped ``centers`` on a unit-length
-    curve whose constant ``L`` and density ``grid`` (None: built here) the
-    caller holds; the report's curves are in ``work``'s units."""
+    curve whose constant ``L`` the caller holds; the report's curves are in
+    ``work``'s units."""
     if not 0.0 < r < 0.25:
         raise SubstitutionError("substitution radius must lie in (0, 1/4)")
     for i, a in enumerate(centers):
@@ -287,12 +284,9 @@ def _substitute(work, L, grid, centers, theta, r):
             f"theta {theta:.3e} exceeds bilipschitz ceiling {t3:.3e} (L={L:.3f})")
 
     n = work.n
-    if grid is None:
-        grid = tangent_density(work)
-    dirs, endpoints, ann_sems = [], [], []
+    dirs, endpoints = [], []
     for x in centers:
-        sem = seminorm_sq(work, Annulus(x, r, theta), grid=grid)
-        ann_sems.append(sem)
+        sem = seminorm_sq(work, Annulus(x, r, theta))
         md = _mean_direction_raw(work, x, r, theta, sem)
         exc = excess_field(work, x, r, nu=md.nu)
         gs = good_sets(work, x, theta, r, excess=exc)
@@ -301,8 +295,7 @@ def _substitute(work, L, grid, centers, theta, r):
                           _nearest_good(gs.g_plus, x + r / 2.0, n)))
 
     modified = _build_modified(work, endpoints)
-    return _verify(work, modified, centers, endpoints, theta, r, L, dirs,
-                   ann_sems)
+    return _verify(work, modified, centers, endpoints, theta, r, L, dirs)
 
 
 def _trivial_report(c, theta, r, L):
@@ -338,8 +331,7 @@ def _build_modified(work, endpoints):
     t = np.arange(n) / n
     for xm, xp in endpoints:
         w = wrap01(xp - xm)
-        im = int(round(xm * n)) % n
-        ip = int(round(xp * n)) % n
+        im, ip = work.index_of_param(xm), work.index_of_param(xp)
         d = wrap01(t - xm)
         inside = d <= w + 1e-15
         frac = d[inside] / w
@@ -348,7 +340,7 @@ def _build_modified(work, endpoints):
     return Curve(q)
 
 
-def _verify(work, mod, centers, endpoints, theta, r, L, dirs, ann_sems):
+def _verify(work, mod, centers, endpoints, theta, r, L, dirs):
     n = work.n
     t8 = theta ** 0.125
     t4 = theta ** 0.25
@@ -387,8 +379,7 @@ def _verify(work, mod, centers, endpoints, theta, r, L, dirs, ann_sems):
     nd_ok = True
     dq_ok = True
     for (x, (xm, xp)), md in zip(zip(centers, endpoints), dirs):
-        im = int(round(xm * n)) % n
-        ip = int(round(xp * n)) % n
+        im, ip = work.index_of_param(xm), work.index_of_param(xp)
         span = _signed_offset(xp, xm)
         delta = (work.samples[ip] - work.samples[im]) / span
         gap = float(np.sum((md.nu - delta) ** 2))
@@ -413,7 +404,7 @@ def _verify(work, mod, centers, endpoints, theta, r, L, dirs, ann_sems):
         window_distortions=window_distortions,
         intrinsic_ratio_min=ratio_min, intrinsic_ratio_max=ratio_max,
         length_ratio=float(length_ratio), nu_delta_gaps=nu_delta_gaps,
-        annulus_seminorms=list(ann_sems), flags=flags)
+        annulus_seminorms=[md.annulus_seminorm for md in dirs], flags=flags)
 
 
 def _difference_quotients_ok(work, x, r, nu, endpoint_idx, theta):

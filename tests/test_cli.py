@@ -49,6 +49,17 @@ class TestAnalyze:
         header = dens.open().readline().strip()
         assert header == "i,j,value"
 
+    def test_command_is_the_argv_given(self, circle_file, tmp_path,
+                                       monkeypatch):
+        # the host's argv is not the command; the output paths are left out
+        monkeypatch.setattr("sys.argv", ["pytest", "-q", "tests/"])
+        out = tmp_path / "report.json"
+        prof = tmp_path / "profile.csv"
+        assert main(["analyze", circle_file, "--out", str(out), "--seminorm",
+                     f"--profile={prof}"]) == 0
+        assert json.loads(out.read_text())["command"] == \
+            f"analyze {circle_file} --seminorm"
+
     def test_deterministic_report(self, trefoil_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["analyze", trefoil_file, "--out", str(a)]) == 0

@@ -87,6 +87,41 @@ class TestSeminorm:
                     <= 1e-12 * total
 
 
+class TestDensityCache:
+    def test_second_call_same_grid(self):
+        c = circle(64)
+        assert tangent_density(c) is tangent_density(c)
+
+    def test_bands_cached_apart(self):
+        c = torus_knot_raw(2, 3, n=64)
+        g0, g2 = tangent_density(c, band=0), tangent_density(c, band=2)
+        assert g0 is not g2
+        assert g0.total > g2.total
+        assert tangent_density(c, band=0) is g0
+        assert tangent_density(c) is g2
+
+    def test_density_read_only(self):
+        density = tangent_density(circle(64)).density
+        with pytest.raises(ValueError):
+            density[0, 5] = 1.0
+
+    def test_one_build_per_curve(self, monkeypatch):
+        import knotgauge.sobolev as sobolev
+        from knotgauge.concentration import detect_concentrations
+        build, builds = sobolev._density, []
+
+        def counted(c, band):
+            builds.append(band)
+            return build(c, band)
+
+        monkeypatch.setattr(sobolev, "_density", counted)
+        c = circle(256)
+        seminorm_sq(c, Ball(0.25, 0.1))
+        fractional_admissible_scale(c)
+        detect_concentrations(c)
+        assert builds == [2]
+
+
 class TestBilipBound:
     def test_straight_segment_equality(self):
         # rectangle resampled to uniform speed; the arc [0.05, 0.25] lies on

@@ -103,6 +103,10 @@ class TestSubstitute:
         assert rep.modified is trefoil512
         assert rep.all_pass
 
+    def test_radius_required(self, trefoil512):
+        with pytest.raises(TypeError):
+            substitute(trefoil512, [], theta=1e-9)
+
     def test_track_all_flags(self):
         c, x = track_curve(n=2048, seed=3)
         L = bilip_constant(c)
