@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -18,12 +19,11 @@ import numpy as np
 
 from . import __version__
 from .concentration import EPSILON, ConcentrationError, pipeline
-from .curve import Curve, CurveError, load_curve, save_curve
+from .curve import CurveError, load_curve, save_curve
 from .distortion import (G_INF, certify_equivalence, distortion_profile,
                          distortion_threshold)
 from .flowfield import FlowError, flow
-from .mobius import (DescentAborted, MinimizeConfig, minimize_symmetric,
-                     mobius_energy)
+from .mobius import DescentAborted, MinimizeConfig, minimize_symmetric
 from .sobolev import (ConcentratedSeminormError, fractional_admissible_scale,
                       seminorm_sq, tangent_density)
 from .substitution import SubstitutionError, substitute
@@ -223,8 +223,11 @@ def build_parser():
         prog="knotgauge",
         description="Certified knot-equivalence analysis of sampled curves")
     sub = ap.add_subparsers(dest="cmd", required=True)
+    # options are taken in full spelling only, so that _command knows every
+    # spelling of an output option
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("analyze", help="distortion profile and seminorm")
+    p = add("analyze", help="distortion profile and seminorm")
     p.add_argument("curve")
     p.add_argument("--profile", help="write r,delta,i,j ladder CSV")
     p.add_argument("--seminorm", action="store_true")
@@ -232,7 +235,7 @@ def build_parser():
     p.add_argument("--out", help="write JSON report")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("certify", help="equivalence certificate")
+    p = add("certify", help="equivalence certificate")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--threshold", choices=["g3", "ginf"], default="g3")
@@ -240,7 +243,7 @@ def build_parser():
     p.add_argument("--out", help="write JSON certificate")
     p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("substitute", help="straight-segment substitution")
+    p = add("substitute", help="straight-segment substitution")
     p.add_argument("curve")
     p.add_argument("--center", required=True, help="t1,t2,...")
     p.add_argument("--r", type=float, required=True)
@@ -249,7 +252,7 @@ def build_parser():
     p.add_argument("--report", help="write JSON report")
     p.set_defaults(func=_cmd_substitute)
 
-    p = sub.add_parser("flow", help="distance-increasing/decreasing flow")
+    p = add("flow", help="distance-increasing/decreasing flow")
     p.add_argument("curve")
     p.add_argument("--seed", dest="seed_point", required=True,
                    help="seed point x,y,z; write --seed=x,y,z when x is "
@@ -262,7 +265,7 @@ def build_parser():
     p.add_argument("--trace", help="write t,x,y,z,dist CSV")
     p.set_defaults(func=_cmd_flow)
 
-    p = sub.add_parser("minimize", help="symmetric energy descent")
+    p = add("minimize", help="symmetric energy descent")
     p.add_argument("--torus", required=True, help="a,b")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
@@ -272,7 +275,7 @@ def build_parser():
     p.add_argument("--log", help="write iter,energy,residual,bilip,step CSV")
     p.set_defaults(func=_cmd_minimize)
 
-    p = sub.add_parser("concentrate", help="concentration pipeline")
+    p = add("concentrate", help="concentration pipeline")
     p.add_argument("curve")
     p.add_argument("--reference", help="smooth reference curve")
     p.add_argument("--p", type=int, required=True)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 
 import numpy as np
@@ -91,11 +90,12 @@ def param_window(n, x, r, inner=None):
 class Curve:
     """Closed polyline in R^3 sampled at N uniform parameters on R/Z.
 
-    Vertices are immutable after construction; derived quantities (edge
-    vectors and lengths, cumulative arclength, tangents, pair matrices, the
-    embeddedness verdict, and via :meth:`cached` the pair table and one
-    tangent density per band) are cached lazily; every cached array but
-    the edge lengths, arclengths and tangents is read-only.
+    Vertices, edge vectors and squared edge lengths are computed and
+    validated once, at construction.  Every other derived quantity (edge
+    lengths, cumulative arclength, tangents, diameter, pair matrices, the
+    embeddedness verdict, the pair table, one tangent density per band) is
+    built lazily through :meth:`cached`.  Every array a curve keeps is
+    read-only.
     """
 
     def __init__(self, samples):
@@ -107,18 +107,21 @@ class Curve:
         if not np.all(np.isfinite(q)):
             raise CurveError("non-finite coordinates")
         edges = np.roll(q, -1, axis=0) - q
-        if np.any(np.einsum("ij,ij->i", edges, edges) == 0.0):
+        sq = np.einsum("ij,ij->i", edges, edges)
+        if np.any(sq == 0.0):
             raise CurveError("consecutive samples coincide")
-        q.setflags(write=False)
-        self._q = q
+        for a in (q, edges, sq):
+            a.setflags(write=False)
+        self._q, self._edges, self._edge_sq = q, edges, sq
         self._cache = {}
 
     def cached(self, key, build):
-        """The tuple ``build()`` returns, built on the first request for
-        ``key`` only and kept with the curve, its arrays read-only."""
+        """The value ``build()`` returns (an array, a number, a flag or a
+        tuple of them), built on the first request for ``key`` only and
+        kept with the curve, its arrays read-only."""
         if key not in self._cache:
             value = build()
-            for a in value:
+            for a in value if isinstance(value, tuple) else (value,):
                 if isinstance(a, np.ndarray):
                     a.setflags(write=False)
             self._cache[key] = value
@@ -139,42 +142,28 @@ class Curve:
         return np.arange(self.n) / self.n
 
     def edge_vectors(self):
-        """Edge vectors q_{i+1} - q_i (read-only)."""
-        if "edge_vectors" not in self._cache:
-            e = np.roll(self._q, -1, axis=0) - self._q
-            e.setflags(write=False)
-            self._cache["edge_vectors"] = e
-        return self._cache["edge_vectors"]
+        """Edge vectors q_{i+1} - q_i."""
+        return self._edges
 
     def edge_sq_lengths(self):
-        """Squared edge lengths |q_{i+1} - q_i|^2 (read-only)."""
-        if "edge_sq_lengths" not in self._cache:
-            e = self.edge_vectors()
-            sq = np.einsum("ij,ij->i", e, e)
-            sq.setflags(write=False)
-            self._cache["edge_sq_lengths"] = sq
-        return self._cache["edge_sq_lengths"]
+        """Squared edge lengths |q_{i+1} - q_i|^2."""
+        return self._edge_sq
 
     def edge_lengths(self):
-        if "edge_lengths" not in self._cache:
-            self._cache["edge_lengths"] = np.sqrt(self.edge_sq_lengths())
-        return self._cache["edge_lengths"]
+        return self.cached("edge_lengths", lambda: np.sqrt(self._edge_sq))
 
     def cum_lengths(self):
         """Arclength positions S_i of the vertices, S_0 = 0."""
-        if "cum_lengths" not in self._cache:
-            s = np.concatenate([[0.0], np.cumsum(self.edge_lengths())])
-            self._cache["cum_lengths"] = s
-        return self._cache["cum_lengths"]
+        return self.cached("cum_lengths", lambda: np.concatenate(
+            [[0.0], np.cumsum(self.edge_lengths())]))
 
     def total_length(self):
         return float(self.cum_lengths()[-1])
 
     def diameter(self):
         """Largest pairwise vertex distance."""
-        if "diameter" not in self._cache:
-            self._cache["diameter"] = float(np.max(self.chord_matrix()))
-        return self._cache["diameter"]
+        return self.cached("diameter",
+                           lambda: float(np.max(self.chord_matrix())))
 
     def min_edge(self):
         return float(np.min(self.edge_lengths()))
@@ -192,7 +181,7 @@ class Curve:
         """Raise :class:`EmbeddingError` when a non-adjacent chord is at most
         ``COINCIDENCE_TOL`` times the length; the row-block scan of
         :meth:`chord_matrix` runs once per curve."""
-        if "embedded" not in self._cache:
+        def build():
             n, chord = self.n, self.chord_matrix()
             tol = COINCIDENCE_TOL * self.total_length()
             embedded = True
@@ -203,8 +192,8 @@ class Curve:
                     i, j = np.nonzero(close)
                     sep = np.abs(i + b.start - j)
                     embedded &= not np.any(np.minimum(sep, n - sep) > 1)
-            self._cache["embedded"] = embedded
-        if not self._cache["embedded"]:
+            return embedded
+        if not self.cached("embedded", build):
             raise EmbeddingError("not embedded: non-adjacent samples coincide")
 
     def intrinsic_rows(self, rows):
@@ -222,17 +211,16 @@ class Curve:
 
     def intrinsic_matrix(self):
         """N x N matrix of shorter-arc lengths between all sample pairs."""
-        if "intrinsic_matrix" not in self._cache:
+        def build():
             m = np.empty((self.n, self.n))
             for b in row_blocks(self.n):
                 m[b] = self.intrinsic_rows(b)
-            m.setflags(write=False)
-            self._cache["intrinsic_matrix"] = m
-        return self._cache["intrinsic_matrix"]
+            return m
+        return self.cached("intrinsic_matrix", build)
 
     def chord_matrix(self):
         """N x N matrix of euclidean vertex distances."""
-        if "chord_matrix" not in self._cache:
+        def build():
             q = self._q
             m = np.empty((self.n, self.n))
             blocks = row_blocks(self.n)
@@ -242,19 +230,13 @@ class Curve:
                 np.subtract(q[b, None, :], q[None, :, :], out=db)
                 np.einsum("ijk,ijk->ij", db, db, out=m[b])
                 np.sqrt(m[b], out=m[b])
-            m.setflags(write=False)
-            self._cache["chord_matrix"] = m
-        return self._cache["chord_matrix"]
+            return m
+        return self.cached("chord_matrix", build)
 
     def tangents(self):
         """Unit edge directions u_i = (q_{i+1} - q_i)/|q_{i+1} - q_i|."""
-        if "tangents" not in self._cache:
-            e = self.edge_vectors()
-            lens = self.edge_lengths()
-            if np.any(lens == 0.0):
-                raise CurveError("zero-length edge")
-            self._cache["tangents"] = e / lens[:, None]
-        return self._cache["tangents"]
+        return self.cached("tangents",
+                           lambda: self._edges / self.edge_lengths()[:, None])
 
     def index_of_param(self, x):
         """Nearest sample index to the parameter x in [0, 1)."""
@@ -328,8 +310,6 @@ def resample_arclength(c, n_out):
     """
     if n_out < MIN_SAMPLES:
         raise CurveError(f"n_out < {MIN_SAMPLES}")
-    if c.min_edge() == 0.0:
-        raise CurveError("degenerate input: repeated points")
     cum = c.cum_lengths()
     total = cum[-1]
     s = np.arange(n_out) * (total / n_out)

@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curve import (pair_ratio_range, param_distance, param_window,
-                    row_blocks, wrap01)
+from .curve import (Curve, pair_ratio_range, param_distance, param_window,
+                    resample_arclength, row_blocks, wrap01)
 from .distortion import LADDER_SIZE
 
 DEFAULT_BAND = 2
@@ -152,12 +152,14 @@ def bilip_lower_bound(c, s, t):
     (only the unit-speed case is evaluated).  The windowed sum keeps *all*
     distinct sample pairs (band 0): excluding a band would bias the bound
     upward, the unsound direction for an inequality.  A negative bound is
-    vacuous and is returned as is.
+    vacuous and is returned as is.  The band-0 density is built on a
+    cache-free copy, so the caller's curve does not keep it.
     """
     e = c.edge_lengths()
     if (e.max() - e.min()) / e.mean() > 1e-9:
-        from .curve import resample_arclength
         c = resample_arclength(c, c.n)
+    else:
+        c = Curve(c.samples)
     i = c.index_of_param(s)
     j = c.index_of_param(t)
     dt = param_distance(i / c.n, j / c.n)

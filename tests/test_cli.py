@@ -38,7 +38,8 @@ class TestAnalyze:
         report = json.loads(out.read_text())
         assert report["delta_global"] == pytest.approx(math.pi / 2, abs=1e-3)
         assert report["rho"] is not None
-        rows = list(csv.reader(prof.open()))
+        with prof.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["r", "delta", "i", "j"]
         assert len(rows) == 41
 
@@ -46,7 +47,8 @@ class TestAnalyze:
         dens = tmp_path / "density.csv"
         rc = main(["analyze", circle_file, "--density", str(dens)])
         assert rc == 0
-        header = dens.open().readline().strip()
+        with dens.open() as fh:
+            header = fh.readline().strip()
         assert header == "i,j,value"
 
     def test_command_is_the_argv_given(self, circle_file, tmp_path,
@@ -59,6 +61,15 @@ class TestAnalyze:
                      f"--profile={prof}"]) == 0
         assert json.loads(out.read_text())["command"] == \
             f"analyze {circle_file} --seminorm"
+
+    def test_abbreviated_option_refused(self, circle_file, tmp_path, capsys):
+        # an abbreviated output option would stay in the report's command
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", circle_file, "--ou", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --ou" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_deterministic_report(self, trefoil_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -121,7 +132,8 @@ class TestFlow:
                    "--rM", str(r_m), "--rho", str(r_m / 8),
                    "--steps", "64", "--trace", str(trace)])
         assert rc == 0
-        rows = list(csv.reader(trace.open()))
+        with trace.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["t", "x", "y", "z", "dist"]
         assert len(rows) == 66
         dists = [float(r[4]) for r in rows[1:]]
@@ -136,7 +148,8 @@ class TestMinimize:
         assert rc == 0
         out = capsys.readouterr().out
         assert "energy=" in out
-        rows = list(csv.reader(log.open()))
+        with log.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["iter", "energy", "residual", "bilip", "step"]
         assert len(rows) == 2
 

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from knotgauge.curve import (Curve, CurveError, EmbeddingError, circle,
                              hausdorff_distance, load_curve, param_distance,
                              resample_arclength, save_curve)
+from knotgauge.sobolev import seminorm_sq
 from util import fourier_curve, rigid_moved
 
 
@@ -31,6 +32,17 @@ def test_embedded_exempts_adjacent_pairs():
     q[6] = np.nextafter(q[3], -2.0)
     with pytest.raises(EmbeddingError):
         Curve(q).check_embedded()
+
+
+@pytest.mark.parametrize("accessor", [
+    "edge_vectors", "edge_sq_lengths", "edge_lengths", "cum_lengths",
+    "tangents", "chord_matrix", "intrinsic_matrix"])
+def test_kept_arrays_read_only(accessor):
+    c = circle(64)
+    kept = getattr(c, accessor)()
+    with pytest.raises(ValueError):
+        kept[3] = 0.0
+    assert seminorm_sq(c) == seminorm_sq(circle(64))
 
 
 def test_rejects_nonfinite():

@@ -143,6 +143,17 @@ class TestBilipBound:
         assert res.bound >= 0
         assert res.chord_sq >= res.bound - 1e-9
 
+    def test_density_not_kept(self):
+        # the band-0 density of a 2048-gon alone takes 32 MB
+        c = circle(2048)
+        tracemalloc.start()
+        try:
+            bilip_lower_bound(c, 0.1, 0.12)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 4 << 20
+
     def test_negative_bound_returned(self, circle512):
         res = bilip_lower_bound(circle512, 0.0, 0.5)
         assert res.bound < 0  # vacuous, reported as is
