@@ -175,7 +175,7 @@ def _cmd_minimize(args):
     res = minimize_symmetric(cfg)
     final = res.final
     if args.out:
-        save_curve(final.curve, args.out)
+        save_curve(res.curve, args.out)
     if args.log:
         with open(args.log, "w", newline="") as fh:
             w = csv.writer(fh)

@@ -221,15 +221,19 @@ class Curve:
     def chord_matrix(self):
         """N x N matrix of euclidean vertex distances."""
         def build():
-            q = self._q
+            x, y, z = self._q.T
             m = np.empty((self.n, self.n))
             blocks = row_blocks(self.n)
-            diff = np.empty((blocks[0].stop, self.n, 3))
+            diff = np.empty((blocks[0].stop, self.n))
             for b in blocks:
-                db = diff[:b.stop - b.start]
-                np.subtract(q[b, None, :], q[None, :, :], out=db)
-                np.einsum("ijk,ijk->ij", db, db, out=m[b])
-                np.sqrt(m[b], out=m[b])
+                mb, db = m[b], diff[:b.stop - b.start]
+                # summed as (dx^2 + dz^2) + dy^2, the order of an einsum
+                # over the (rows, N, 3) differences, so every entry and the
+                # reports built on them stay the same bit for bit
+                np.square(np.subtract.outer(x[b], x, out=db), out=mb)
+                mb += np.square(np.subtract.outer(z[b], z, out=db), out=db)
+                mb += np.square(np.subtract.outer(y[b], y, out=db), out=db)
+                np.sqrt(mb, out=mb)
             return m
         return self.cached("chord_matrix", build)
 

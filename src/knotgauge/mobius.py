@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import Curve, EmbeddingError, resample_arclength
+from .curve import Curve, EmbeddingError, resample_arclength, row_blocks
 from .distortion import certify_equivalence, distortion_threshold
 from .sobolev import bilip_constant
 
@@ -65,81 +65,96 @@ def _weights(c):
     return 0.5 * (np.roll(e, 1) + e)
 
 
-def _pair_kernel(c):
-    """Chord and arc matrices with unit diagonals, and the pair kernel
-    F = 1/chord^2 - 1/arc^2 with zero diagonal; all three are fresh
-    arrays, so the curve's cached matrices are never written."""
-    chord = c.chord_matrix().copy()
-    arc = c.intrinsic_matrix().copy()
-    np.fill_diagonal(chord, 1.0)
-    np.fill_diagonal(arc, 1.0)
-    f = 1.0 / chord**2 - 1.0 / arc**2
-    np.fill_diagonal(f, 0.0)
-    return chord, arc, f
+def _kernel_rows(c):
+    """Per row block ``b`` of :func:`~knotgauge.curve.row_blocks`: ``b``,
+    the block's shorter-arc lengths with a unit diagonal, and its rows of
+    1/chord^2 and 1/arc^2 with zero diagonals.  All are fresh arrays, so
+    the curve's cached matrices are never written."""
+    c.check_embedded()
+    chord = c.chord_matrix()
+    for b in row_blocks(c.n):
+        diag = (np.arange(b.stop - b.start), np.arange(b.start, b.stop))
+        c2 = chord[b] ** 2
+        arc = np.require(c.intrinsic_rows(b), requirements="W")
+        c2[diag] = 1.0
+        arc[diag] = 1.0
+        inv_c2 = np.reciprocal(c2, out=c2)
+        inv_a2 = 1.0 / arc**2
+        inv_c2[diag] = inv_a2[diag] = 0.0
+        yield b, arc, inv_c2, inv_a2
 
 
 def mobius_energy(c):
     """Discrete self-repulsion energy; nonnegative, zero only in the limit of
     vanishing curvature, scale and rigid-motion invariant.  Raises
     :class:`~knotgauge.curve.EmbeddingError` on coincident samples."""
-    c.check_embedded()
     w = _weights(c)
-    _, _, f = _pair_kernel(c)
-    return float(w @ f @ w)
+    p = np.empty(c.n)
+    for b, _, inv_c2, inv_a2 in _kernel_rows(c):
+        # rows of the pair kernel F = 1/chord^2 - 1/arc^2, applied to w
+        p[b] = (inv_c2 - inv_a2) @ w
+    return float(w @ p)
 
 
 def mobius_gradient(c):
     """Exact gradient of the discrete energy with respect to vertex positions.
 
     Accounts for the chord term, the shorter-arc lengths (through the edges
-    each arc traverses), and the trapezoidal weights.
+    each arc traverses), and the trapezoidal weights.  One pass over the
+    row blocks of the pair kernel, so no N x N array is built.
     """
-    c.check_embedded()
     n = c.n
     q = c.samples
     w = _weights(c)
     u = c.tangents()
-    chord, arc, f = _pair_kernel(c)
-
-    # chord part: d/dq_k of sum w_i w_j / C_ij^2
-    inv_c4 = 1.0 / chord**4
-    np.fill_diagonal(inv_c4, 0.0)
-    coef = w[:, None] * w[None, :] * inv_c4          # (i, j)
-    diff = q[:, None, :] - q[None, :, :]
-    grad = -4.0 * np.einsum("kj,kjd->kd", coef, diff)
-
-    # intrinsic part: + 2 sum_{arc(i,j) contains e_m} w_i w_j / D^3 acting
-    # on the endpoints of e_m.  Range-add the pair mass onto its shorter
-    # arc's edges with a circular difference array.
-    inv_d3 = 1.0 / arc**3
-    np.fill_diagonal(inv_d3, 0.0)
-    mass = 2.0 * (w[:, None] * w[None, :]) * inv_d3  # ordered pairs
     s = c.cum_lengths()[:-1]
     total = c.total_length()
-    iu, ju = np.triu_indices(n, k=1)
-    gap = s[ju] - s[iu]
-    # at an exact length tie both arcs are shortest; the symmetric
-    # subgradient splits the pair mass between them (ties are common on
-    # regular grids and a one-sided choice would break rigid symmetries)
-    tie = np.abs(gap - 0.5 * total) <= 1e-9 * total
-    g = 2.0 * mass[iu, ju]                            # both orders
-    g_fwd = np.where(tie, 0.5 * g, np.where(gap < 0.5 * total, g, 0.0))
-    g_bwd = g - g_fwd
-    diffarr = np.zeros(n + 1)
-    # forward arcs: edges iu .. ju-1
-    np.add.at(diffarr, iu, g_fwd)
-    np.add.at(diffarr, ju, -g_fwd)
-    # backward arcs: edges ju .. n-1 and 0 .. iu-1
-    np.add.at(diffarr, ju, g_bwd)
-    diffarr[0] += g_bwd.sum()
-    np.add.at(diffarr, iu, -g_bwd)
-    a_edge = np.cumsum(diffarr[:n])
+    grad = np.empty((n, 3))
+    p = np.empty(n)
+    # circular difference array of the edge masses of the shorter arcs
+    edge = np.empty(n)
+    backward = 0.0
+    for b, arc, inv_c2, inv_a2 in _kernel_rows(c):
+        wb = w[b]
+        p[b] = (inv_c2 - inv_a2) @ w
+
+        # chord part: d/dq_k of sum w_i w_j / C_ij^2 is
+        # -4 w_k sum_j w_j (q_k - q_j) / C_kj^4.  Positions are taken from a
+        # vertex of the block, so the near pairs, whose terms are largest,
+        # cancel from small numbers.
+        inv_c4 = inv_c2 * inv_c2
+        qb = q - q[(b.start + b.stop) // 2]
+        grad[b] = -4.0 * wb[:, None] * ((inv_c4 @ w)[:, None] * qb[b]
+                                        - inv_c4 @ (w[:, None] * qb))
+
+        # intrinsic part: + 2 sum_{arc(i,j) contains e_m} w_i w_j / D^3
+        # acting on the endpoints of e_m, both orders of each pair.  Row i
+        # adds the pair mass 4 w_i w_j / D_ij^3 at i and takes it off at j
+        # when the arc forward from i to j is the shorter one (sigma = +1),
+        # the reverse when the backward arc is (sigma = -1).  At an exact
+        # length tie both arcs are shortest; the symmetric subgradient
+        # splits the pair mass between them (sigma = 0: ties are common on
+        # regular grids and a one-sided choice would break rigid
+        # symmetries).  sigma is fwd where j > i and -fwd where j < i.
+        inv_a3 = inv_a2 / arc
+        short = 0.5 * total - np.abs(s[b, None] - s)
+        fwd = np.sign(short)
+        fwd[np.abs(short) <= 1e-9 * total] = 0.0
+        h = inv_a3 * fwd
+        lower = np.tril(h[:, b], -1) @ wb
+        edge[b] = 4.0 * wb * (h[:, b.start:] @ w[b.start:]
+                              - h[:, :b.start] @ w[:b.start] - 2.0 * lower)
+        # the backward arc of a pair i < j wraps through edge 0 and carries
+        # the share (1 - fwd)/2 of the pair mass; over both orders that is
+        # sum w_i w_j (1 - fwd_ij) / D_ij^3
+        backward += wb @ ((inv_a3 - h) @ w)
+    edge[0] += backward
+    a_edge = np.cumsum(edge)
     u_prev = np.roll(u, 1, axis=0)
     grad += np.roll(a_edge, 1)[:, None] * u_prev
     grad -= a_edge[:, None] * u
 
     # weight part: 2 sum_i P_i dw_i/dq_k with P_i = sum_j F_ij w_j
-    p = f @ w
     grad += (-np.roll(p, -1)[:, None] * u
              + p[:, None] * (u_prev - u)
              + np.roll(p, 1)[:, None] * u_prev)
@@ -208,7 +223,6 @@ def symmetrize_curve(c, spec):
 class EnergyState:
     """Snapshot of one descent iteration."""
     iteration: int
-    curve: Curve
     energy: float
     gradient_norm: float
     step: float
@@ -242,6 +256,7 @@ class MinimizeConfig:
 @dataclass
 class MinimizeResult:
     states: list
+    curve: Curve                         # the last accepted iterate
     status: str                          # 'ok' | 'stalled'
     certificates: list = field(default_factory=list)
 
@@ -299,7 +314,7 @@ def minimize_symmetric(cfg):
                 break
             step *= 0.5
         if not accepted:
-            return MinimizeResult(states=states, status="stalled",
+            return MinimizeResult(states=states, curve=cur, status="stalled",
                                   certificates=certificates)
         cur, energy = trial, e_trial
         states.append(_state(it, cur, energy, step, gmax, spec))
@@ -312,14 +327,11 @@ def minimize_symmetric(cfg):
                     f"hausdorff {cert.hausdorff:.3e} vs scales "
                     f"{cert.r1}, {cert.r2}")
             checkpoint = cur
-    return MinimizeResult(states=states, status="ok",
+    return MinimizeResult(states=states, curve=cur, status="ok",
                           certificates=certificates)
 
 
 def _state(it, cur, energy, step, gmax, spec):
-    # a cache-free copy, so the states do not keep every iterate's pair
-    # matrices and pair table alive
-    return EnergyState(iteration=it, curve=Curve(cur.samples), energy=energy,
-                       gradient_norm=gmax, step=step,
-                       residual=symmetry_residual(cur, spec),
+    return EnergyState(iteration=it, energy=energy, gradient_norm=gmax,
+                       step=step, residual=symmetry_residual(cur, spec),
                        bilip=bilip_constant(cur))

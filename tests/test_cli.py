@@ -10,7 +10,8 @@ import pytest
 
 from knotgauge.cli import main
 from knotgauge.curve import Curve, circle, load_curve, save_curve
-from knotgauge.mobius import torus_knot
+from knotgauge.mobius import (MinimizeConfig, minimize_symmetric,
+                              mobius_energy, torus_knot)
 from util import track_curve
 
 
@@ -159,6 +160,18 @@ class TestMinimize:
                    "--n", "120", "--steps", "5", "--out", str(out)])
         assert rc == 0
         assert load_curve(str(out)).n == 120
+
+    def test_out_is_last_iterate(self, tmp_path):
+        out = tmp_path / "final.json"
+        rc = main(["minimize", "--torus", "2,3", "--p", "3", "--m", "2",
+                   "--n", "60", "--steps", "3", "--out", str(out)])
+        assert rc == 0
+        res = minimize_symmetric(MinimizeConfig(torus=(2, 3), p=3, m=2,
+                                                n=60, steps=3))
+        assert res.final.iteration == 3
+        assert mobius_energy(res.curve) == res.final.energy
+        assert np.array_equal(load_curve(str(out)).samples,
+                              res.curve.samples)
 
 
 class TestConcentrate:

@@ -64,6 +64,14 @@ def test_param_distance_examples():
     assert param_distance(0.25, 0.75) == pytest.approx(0.5)
 
 
+def test_chord_matrix_short_last_block():
+    # N = 257 leaves a last row block shorter than the others
+    c = Curve(np.random.default_rng(8).normal(size=(257, 3)))
+    q = c.samples
+    ref = np.linalg.norm(q[:, None, :] - q[None, :, :], axis=2)
+    assert np.allclose(c.chord_matrix(), ref, rtol=1e-15, atol=0.0)
+
+
 class TestIntrinsicDistance:
     def test_antipodal_circle(self):
         c = circle(1000)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from knotgauge.mobius import (EmbeddingError, MinimizeConfig, SymmetrySpec,
                               minimize_symmetric, mobius_energy,
                               mobius_gradient, symmetrize_curve,
                               symmetrize_field, symmetry_residual, torus_knot)
-from util import ellipse_curve, rigid_moved
+from util import (dense_mobius_energy, dense_mobius_gradient, ellipse_curve,
+                  rigid_moved)
 
 # discrete circle energies converge to 4 like c/N (measured refinement run)
 CIRCLE_ENERGY = {128: 3.8899161067547405, 256: 3.944912884917006,
@@ -103,6 +105,40 @@ class TestGradient:
         g = mobius_gradient(trefoil512)
         g_scaled = mobius_gradient(Curve(lam * trefoil512.samples))
         assert np.allclose(g_scaled, g / lam, atol=1e-9 * np.abs(g).max())
+
+
+class TestRowBlocks:
+    """The row-block kernels against the dense N x N reference, at sizes
+    with several row blocks of uneven length."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: Curve(torus_knot(2, 3, n=300).samples
+                      + 0.01 * np.random.default_rng(9).normal(size=(300, 3))),
+        lambda: circle(256),   # exact length ties at every antipodal pair
+    ], ids=["perturbed-torus-300", "circle-256"])
+    def test_matches_dense_reference(self, make):
+        c = make()
+        ref = dense_mobius_energy(Curve(c.samples))
+        assert abs(mobius_energy(c) - ref) <= 1e-13 * ref
+        g = mobius_gradient(c)
+        g_ref = dense_mobius_gradient(Curve(c.samples))
+        # the circle's exact gradient is zero (scale invariance and
+        # symmetry), so its max |g| is roundoff; N / L, the size of the
+        # largest single pair term, sets the floor of the scale
+        scale = max(np.abs(g_ref).max(), c.n / c.total_length())
+        assert np.abs(g - g_ref).max() <= 1e-11 * scale
+
+    @pytest.mark.parametrize("kernel", [mobius_energy, mobius_gradient])
+    def test_traced_peak(self, trefoil512, kernel):
+        trefoil512.check_embedded()
+        trefoil512.tangents()
+        tracemalloc.start()
+        try:
+            kernel(trefoil512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestSymmetry:

@@ -112,3 +112,94 @@ def fourier_curve(seed, n=512, modes=5, amp=0.25):
         coef = rng.normal(scale=amp / k**2, size=(2, 3))
         q += coef[0] * np.sin(k * t)[:, None] + coef[1] * np.cos(k * t)[:, None]
     return resample_arclength(Curve(q), n)
+
+
+# -- dense reference energy and gradient ----------------------------------------
+# The N x N implementation the row-block kernels of knotgauge.mobius replaced,
+# kept as the reference they are tested against.
+
+
+def _dense_weights(c):
+    e = c.edge_lengths()
+    return 0.5 * (np.roll(e, 1) + e)
+
+
+def _dense_pair_kernel(c):
+    """Chord and arc matrices with unit diagonals, and the pair kernel
+    F = 1/chord^2 - 1/arc^2 with zero diagonal; all three are fresh
+    arrays, so the curve's cached matrices are never written."""
+    chord = c.chord_matrix().copy()
+    arc = c.intrinsic_matrix().copy()
+    np.fill_diagonal(chord, 1.0)
+    np.fill_diagonal(arc, 1.0)
+    f = 1.0 / chord**2 - 1.0 / arc**2
+    np.fill_diagonal(f, 0.0)
+    return chord, arc, f
+
+
+def dense_mobius_energy(c):
+    """Discrete self-repulsion energy; nonnegative, zero only in the limit of
+    vanishing curvature, scale and rigid-motion invariant.  Raises
+    :class:`~knotgauge.curve.EmbeddingError` on coincident samples."""
+    c.check_embedded()
+    w = _dense_weights(c)
+    _, _, f = _dense_pair_kernel(c)
+    return float(w @ f @ w)
+
+
+def dense_mobius_gradient(c):
+    """Exact gradient of the discrete energy with respect to vertex positions.
+
+    Accounts for the chord term, the shorter-arc lengths (through the edges
+    each arc traverses), and the trapezoidal weights.
+    """
+    c.check_embedded()
+    n = c.n
+    q = c.samples
+    w = _dense_weights(c)
+    u = c.tangents()
+    chord, arc, f = _dense_pair_kernel(c)
+
+    # chord part: d/dq_k of sum w_i w_j / C_ij^2
+    inv_c4 = 1.0 / chord**4
+    np.fill_diagonal(inv_c4, 0.0)
+    coef = w[:, None] * w[None, :] * inv_c4          # (i, j)
+    diff = q[:, None, :] - q[None, :, :]
+    grad = -4.0 * np.einsum("kj,kjd->kd", coef, diff)
+
+    # intrinsic part: + 2 sum_{arc(i,j) contains e_m} w_i w_j / D^3 acting
+    # on the endpoints of e_m.  Range-add the pair mass onto its shorter
+    # arc's edges with a circular difference array.
+    inv_d3 = 1.0 / arc**3
+    np.fill_diagonal(inv_d3, 0.0)
+    mass = 2.0 * (w[:, None] * w[None, :]) * inv_d3  # ordered pairs
+    s = c.cum_lengths()[:-1]
+    total = c.total_length()
+    iu, ju = np.triu_indices(n, k=1)
+    gap = s[ju] - s[iu]
+    # at an exact length tie both arcs are shortest; the symmetric
+    # subgradient splits the pair mass between them (ties are common on
+    # regular grids and a one-sided choice would break rigid symmetries)
+    tie = np.abs(gap - 0.5 * total) <= 1e-9 * total
+    g = 2.0 * mass[iu, ju]                            # both orders
+    g_fwd = np.where(tie, 0.5 * g, np.where(gap < 0.5 * total, g, 0.0))
+    g_bwd = g - g_fwd
+    diffarr = np.zeros(n + 1)
+    # forward arcs: edges iu .. ju-1
+    np.add.at(diffarr, iu, g_fwd)
+    np.add.at(diffarr, ju, -g_fwd)
+    # backward arcs: edges ju .. n-1 and 0 .. iu-1
+    np.add.at(diffarr, ju, g_bwd)
+    diffarr[0] += g_bwd.sum()
+    np.add.at(diffarr, iu, -g_bwd)
+    a_edge = np.cumsum(diffarr[:n])
+    u_prev = np.roll(u, 1, axis=0)
+    grad += np.roll(a_edge, 1)[:, None] * u_prev
+    grad -= a_edge[:, None] * u
+
+    # weight part: 2 sum_i P_i dw_i/dq_k with P_i = sum_j F_ij w_j
+    p = f @ w
+    grad += (-np.roll(p, -1)[:, None] * u
+             + p[:, None] * (u_prev - u)
+             + np.roll(p, 1)[:, None] * u_prev)
+    return grad
