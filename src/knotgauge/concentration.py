@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import Curve, param_distance
+from .curve import Curve, param_distance, param_window
 from .distortion import LADDER_SIZE, certify_equivalence, local_distortion
-from .sobolev import (Annulus, ball_halfwidth, ball_window_sums,
+from .sobolev import (ball_halfwidth, ball_window_sums,
                       bilip_constant, seminorm_sq, tangent_density,
                       ConcentratedSeminormError, fractional_admissible_scale)
 from .substitution import _substitute, theta4
@@ -181,8 +181,9 @@ def _annulus_prefix_scale(c, centers, ladder, theta):
     # the ladder starts at 10/N, so every annulus holds at least 20 samples
     best = None
     for r in ladder:
-        if any(seminorm_sq(c, Annulus(i / c.n, r, theta)) >= theta / 2
-               for i in centers):
+        annuli = (param_window(c.n, i / c.n, r, inner=theta * r)
+                  for i in centers)
+        if any(seminorm_sq(c, m) >= theta / 2 for m in annuli):
             break
         best = float(r)
     return best

@@ -25,9 +25,8 @@ RESAMPLE_TOL = 1e-12
 RESAMPLE_MAX_ITER = 200
 
 #: entries per row block when an N x N pair matrix is built or scanned, so
-#: that the (rows, N, 3) temporaries stay under 0.5 MB whatever N is: they
-#: stay in cache, and the allocator reuses their memory instead of taking
-#: fresh pages from the system for every block
+#: that the (rows, N, 3) temporaries stay under 0.5 MB whatever N is and
+#: stay in cache
 PAIR_BLOCK = 1 << 14
 
 #: non-adjacent samples closer than this fraction of the length coincide
@@ -85,6 +84,13 @@ def param_window(n, x, r, inner=None):
     if inner is not None:
         mask &= d > inner
     return mask
+
+
+def arc_window(n, s, t):
+    """:func:`param_window` of the shorter closed parameter arc from s to t."""
+    s, t = wrap01(s), wrap01(t)
+    mid = (s + t) / 2.0 if abs(s - t) <= 0.5 else wrap01((s + t + 1.0) / 2.0)
+    return param_window(n, mid, param_distance(s, t) / 2.0)
 
 
 class Curve:
@@ -197,14 +203,10 @@ class Curve:
             raise EmbeddingError("not embedded: non-adjacent samples coincide")
 
     def intrinsic_rows(self, rows):
-        """Rows ``rows`` (a slice or index array) of :meth:`intrinsic_matrix`.
-
-        Read from the cached matrix once it is built; until then computed
-        alone with the same per-entry expression, so that a caller scanning
-        the pairs once needs no N x N array.
+        """Rows ``rows`` (a slice or index array) of :meth:`intrinsic_matrix`,
+        computed alone as a fresh array, so that a caller scanning the pairs
+        once needs no N x N array.
         """
-        if "intrinsic_matrix" in self._cache:
-            return self._cache["intrinsic_matrix"][rows]
         s = self.cum_lengths()[:-1]
         d = np.abs(s[rows, None] - s[None, :])
         return np.minimum(d, self.total_length() - d)

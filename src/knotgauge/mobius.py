@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import Curve, EmbeddingError, resample_arclength, row_blocks
+from .curve import Curve, CurveError, resample_arclength, row_blocks
 from .distortion import certify_equivalence, distortion_threshold
 from .sobolev import bilip_constant
 
@@ -75,7 +75,7 @@ def _kernel_rows(c):
     for b in row_blocks(c.n):
         diag = (np.arange(b.stop - b.start), np.arange(b.start, b.stop))
         c2 = chord[b] ** 2
-        arc = np.require(c.intrinsic_rows(b), requirements="W")
+        arc = c.intrinsic_rows(b)
         c2[diag] = 1.0
         arc[diag] = 1.0
         inv_c2 = np.reciprocal(c2, out=c2)
@@ -281,8 +281,6 @@ def minimize_symmetric(cfg):
     """
     spec = SymmetrySpec(cfg.p, cfg.m)
     cur = cfg.build_initial()
-    if cur.n % cfg.p:
-        raise ValueError("sample count must be divisible by p")
     cur = symmetrize_curve(cur, spec)
     energy = mobius_energy(cur)
     states = [_state(0, cur, energy, 0.0, 0.0, spec)]
@@ -306,7 +304,7 @@ def minimize_symmetric(cfg):
                 trial = symmetrize_curve(
                     resample_arclength(trial, cur.n), spec)
                 e_trial = mobius_energy(trial)
-            except (EmbeddingError, ValueError):
+            except CurveError:
                 step *= 0.5
                 continue
             if e_trial <= energy - ARMIJO_C * step * slope:

@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curve import (Curve, pair_ratio_range, param_distance, param_window,
-                    resample_arclength, row_blocks, wrap01)
+from .curve import (WINDOW_SLACK, Curve, arc_window, pair_ratio_range,
+                    param_distance, resample_arclength, row_blocks)
 from .distortion import LADDER_SIZE
 
 DEFAULT_BAND = 2
@@ -26,54 +26,6 @@ DEFAULT_BAND = 2
 #: window smallness that forces local distortion below 2/sqrt(3);
 #: squared value of 1/(2*sqrt(2))
 WINDOW_SMALLNESS_SQ = 1.0 / 8.0
-
-
-# -- parameter windows -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Ball:
-    """Parameter ball B_r(x) on R/Z."""
-    x: float
-    r: float
-
-
-@dataclass(frozen=True)
-class Annulus:
-    """Annulus B_r(x) minus B_{theta*r}(x) on R/Z."""
-    x: float
-    r: float
-    theta: float
-
-
-@dataclass(frozen=True)
-class Arc:
-    """The shorter closed parameter arc from s to t."""
-    s: float
-    t: float
-
-
-def window_mask(window, n):
-    """Boolean sample membership for a parameter window (closed, see
-    :func:`~knotgauge.curve.param_window`)."""
-    if window is None:
-        return np.ones(n, dtype=bool)
-    if isinstance(window, Ball):
-        return param_window(n, window.x, window.r)
-    if isinstance(window, Annulus):
-        return param_window(n, window.x, window.r,
-                            inner=window.theta * window.r)
-    if isinstance(window, Arc):
-        return param_window(n, _arc_midpoint(window.s, window.t),
-                            param_distance(window.s, window.t) / 2.0)
-    raise TypeError(f"unknown window type {type(window)!r}")
-
-
-def _arc_midpoint(s, t):
-    s, t = wrap01(s), wrap01(t)
-    if abs(s - t) <= 0.5:
-        return (s + t) / 2.0
-    return wrap01((s + t + 1.0) / 2.0)
 
 
 # -- seminorm grid -----------------------------------------------------------
@@ -118,18 +70,19 @@ def _density(c, band):
 def seminorm_sq(c, window=None, band=DEFAULT_BAND):
     """Squared seminorm restricted to a parameter window.
 
-    Sums the density over pairs with both parameters inside the window;
+    ``window`` is a boolean sample mask, as built by
+    :func:`~knotgauge.curve.param_window` or
+    :func:`~knotgauge.curve.arc_window`; ``None`` is the whole circle.
+    Sums the density over pairs with both samples inside the window;
     windows holding fewer than two samples give 0 with a warning.
     """
     grid = tangent_density(c, band)
     if window is None:
         return grid.total
-    m = window_mask(window, c.n)
-    if m.sum() < 2:
-        warnings.warn(f"window {window!r} holds fewer than two samples",
-                      stacklevel=2)
+    if window.sum() < 2:
+        warnings.warn("window holds fewer than two samples", stacklevel=2)
         return 0.0
-    return float(grid.density[np.ix_(m, m)].sum())
+    return float(grid.density[np.ix_(window, window)].sum())
 
 
 # -- bilipschitz bounds --------------------------------------------------------
@@ -164,7 +117,7 @@ def bilip_lower_bound(c, s, t):
     j = c.index_of_param(t)
     dt = param_distance(i / c.n, j / c.n)
     speed = c.total_length()
-    sem = seminorm_sq(c, Arc(i / c.n, j / c.n), band=0)
+    sem = seminorm_sq(c, arc_window(c.n, i / c.n, j / c.n), band=0)
     bound = (1.0 - 0.5 * sem) * (dt * speed) ** 2
     chord = c.samples[i] - c.samples[j]
     return BilipBound(bound=float(bound), chord_sq=float(chord @ chord),
@@ -189,8 +142,9 @@ def bilip_constant(c):
 
 
 def ball_halfwidth(r, n):
-    """Number of grid steps k with k/n <= r (ball B_r covers 2k+1 samples)."""
-    return min(int(math.floor(r * n + 1e-12)), (n - 1) // 2)
+    """Number of grid steps k with k/n <= r under the closed-window rule of
+    :func:`~knotgauge.curve.param_window` (ball B_r covers 2k+1 samples)."""
+    return min(int(math.floor((r + WINDOW_SLACK) * n)), (n - 1) // 2)
 
 
 def ball_window_sums(density, k):

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import uniform_filter1d
 
-from .curve import (Curve, pair_ratio_range, param_distance, param_window,
-                    wrap01)
-from .sobolev import Annulus, Arc, bilip_constant, seminorm_sq, window_mask
+from .curve import (WINDOW_SLACK, Curve, arc_window, pair_ratio_range,
+                    param_distance, param_window, wrap01)
+from .sobolev import bilip_constant, seminorm_sq
 
 #: smallness ceiling for nonempty good sets
 THETA1 = 144.0 ** -4
@@ -90,7 +90,7 @@ def mean_direction(c, x, r, theta):
     """
     if not theta < 1.0 / 8.0:
         raise SubstitutionError(f"theta must be below 1/8, got {theta}")
-    sem = seminorm_sq(c, Annulus(x, r, theta))
+    sem = seminorm_sq(c, param_window(c.n, x, r, inner=theta * r))
     if not sem < theta:
         raise SubstitutionError(
             f"annulus seminorm {sem:.3e} not below theta {theta:.3e} at x={x}")
@@ -121,23 +121,16 @@ class ExcessField:
     """Tangent excess over a window and its discrete maximal function."""
     center: float
     radius: float
-    nu: np.ndarray
-    values: np.ndarray      # (N, 3) excess vectors, zero outside the window
-    magnitudes: np.ndarray  # (N,) |excess|
+    magnitudes: np.ndarray  # (N,) |excess|, zero outside the window
     maximal: np.ndarray     # (N,) Hardy-Littlewood maximal of |excess|
 
 
-def excess_field(c, x, r, nu=None, theta=None):
+def excess_field(c, x, r, nu):
     """Localized tangent excess (tangent minus nu, cut off to B_r(x))."""
-    if nu is None:
-        if theta is None:
-            raise ValueError("need nu or theta to determine the direction")
-        nu = mean_direction(c, x, r, theta).nu
     m = param_window(c.n, x, r)
     e = np.where(m[:, None], c.tangents() - nu[None, :], 0.0)
     mag = np.sqrt(np.einsum("ij,ij->i", e, e))
-    return ExcessField(center=wrap01(x), radius=r, nu=np.asarray(nu),
-                       values=e, magnitudes=mag,
+    return ExcessField(center=wrap01(x), radius=r, magnitudes=mag,
                        maximal=maximal_function(mag))
 
 
@@ -174,13 +167,13 @@ def weak_type_check(exc, t):
 @dataclass
 class GoodSets:
     """Sample indices near x +- r/2 whose maximal excess is small."""
-    theta: float
     g_plus: np.ndarray
     g_minus: np.ndarray
 
 
-def good_sets(c, x, theta, r, excess=None):
-    """Good endpoint candidates within B_{r/8}(x +- r/2).
+def good_sets(excess, theta):
+    """Good endpoint candidates within B_{r/8}(x +- r/2), for the center x
+    and radius r of ``excess``.
 
     Membership: maximal excess at most theta^(1/4).  Raises
     ``GoodSetError`` with the smallest maximal excess on each side when
@@ -189,12 +182,11 @@ def good_sets(c, x, theta, r, excess=None):
     if not theta < THETA1:
         raise SubstitutionError(
             f"theta must be below {THETA1:.3e} for nonempty good sets")
-    if excess is None:
-        excess = excess_field(c, x, r, theta=theta)
+    n, x, r = excess.maximal.shape[0], excess.center, excess.radius
     ok = excess.maximal <= theta ** 0.25
-    idx = np.arange(c.n)
-    near_plus = param_window(c.n, x + r / 2.0, r / 8.0)
-    near_minus = param_window(c.n, x - r / 2.0, r / 8.0)
+    idx = np.arange(n)
+    near_plus = param_window(n, x + r / 2.0, r / 8.0)
+    near_minus = param_window(n, x - r / 2.0, r / 8.0)
     g_plus = idx[ok & near_plus]
     g_minus = idx[ok & near_minus]
     if g_plus.size == 0 or g_minus.size == 0:
@@ -202,7 +194,7 @@ def good_sets(c, x, theta, r, excess=None):
             x, r, theta,
             float(excess.maximal[near_minus].min(initial=np.inf)),
             float(excess.maximal[near_plus].min(initial=np.inf)))
-    return GoodSets(theta=theta, g_plus=g_plus, g_minus=g_minus)
+    return GoodSets(g_plus=g_plus, g_minus=g_minus)
 
 
 # -- substitution ----------------------------------------------------------------
@@ -286,10 +278,9 @@ def _substitute(work, L, centers, theta, r):
     n = work.n
     dirs, endpoints = [], []
     for x in centers:
-        sem = seminorm_sq(work, Annulus(x, r, theta))
+        sem = seminorm_sq(work, param_window(n, x, r, inner=theta * r))
         md = _mean_direction_raw(work, x, r, theta, sem)
-        exc = excess_field(work, x, r, nu=md.nu)
-        gs = good_sets(work, x, theta, r, excess=exc)
+        gs = good_sets(excess_field(work, x, r, md.nu), theta)
         dirs.append(md)
         endpoints.append((_nearest_good(gs.g_minus, x - r / 2.0, n),
                           _nearest_good(gs.g_plus, x + r / 2.0, n)))
@@ -333,7 +324,7 @@ def _build_modified(work, endpoints):
         w = wrap01(xp - xm)
         im, ip = work.index_of_param(xm), work.index_of_param(xp)
         d = wrap01(t - xm)
-        inside = d <= w + 1e-15
+        inside = d <= w + WINDOW_SLACK
         frac = d[inside] / w
         q[inside] = work.samples[im] + frac[:, None] * (
             work.samples[ip] - work.samples[im])
@@ -354,7 +345,7 @@ def _verify(work, mod, centers, endpoints, theta, r, L, dirs):
     wd_ok = True
     for (x, (xm, xp)) in zip(centers, endpoints):
         for lo, hi in (((x - r) % 1.0, xp), (xm, (x + r) % 1.0)):
-            idx = np.flatnonzero(window_mask(Arc(lo, hi), n))
+            idx = np.flatnonzero(arc_window(n, lo, hi))
             sub_d = mod.intrinsic_rows(idx)[:, idx]
             sub_c = ch_mod[np.ix_(idx, idx)]
             iu = np.triu_indices(idx.size, k=1)

@@ -17,7 +17,7 @@ import knotgauge as kg
 from knotgauge.curve import param_distance
 from knotgauge.mobius import CERTIFICATE_CADENCE
 from knotgauge.substitution import (GoodSetError, SubstitutionError,
-                                    excess_field, theta4)
+                                    excess_field, mean_direction, theta4)
 from util import ellipse_curve, kinked_track, track_curve, fourier_curve
 
 G3 = kg.distortion_threshold(3)
@@ -115,14 +115,16 @@ def test_criterion_05_fractional_scale(name, maker):
 
 
 def test_criterion_06_substitution_bounds():
-    from knotgauge.sobolev import Annulus, bilip_constant, seminorm_sq
+    from knotgauge.curve import param_window
+    from knotgauge.sobolev import bilip_constant, seminorm_sq
     from knotgauge.substitution import theta3
     failures = []
     for seed in range(20):
         c, x = track_curve(n=2048, seed=seed)
         L = bilip_constant(c)
         theta = theta3(L) / 2
-        if not seminorm_sq(c, Annulus(x, 0.05, theta)) < theta:
+        annulus = param_window(c.n, x, 0.05, inner=theta * 0.05)
+        if not seminorm_sq(c, annulus) < theta:
             failures.append((seed, "hypothesis"))
             continue
         rep = kg.substitute(c, [x], theta=theta, r=0.05)
@@ -286,7 +288,8 @@ def _checked_gate_gap(n, c, err):
     if not abs(err.theta - theta) <= 1e-12 * theta:
         problems.append(f"theta {err.theta:.6e} is not theta4(L) {theta:.6e}")
     bound = err.theta ** 0.25
-    maximal = excess_field(work, err.x, err.r, theta=err.theta).maximal
+    nu = mean_direction(work, err.x, err.r, err.theta).nu
+    maximal = excess_field(work, err.x, err.r, nu=nu).maximal
     t = work.params()
     minima = []
     for side, reported in ((-1, err.min_minus), (1, err.min_plus)):

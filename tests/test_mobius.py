@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from knotgauge.curve import Curve, circle, resample_arclength
-from knotgauge.mobius import (EmbeddingError, MinimizeConfig, SymmetrySpec,
+from knotgauge.curve import Curve, EmbeddingError, circle, resample_arclength
+from knotgauge.mobius import (MinimizeConfig, SymmetrySpec,
                               minimize_symmetric, mobius_energy,
                               mobius_gradient, symmetrize_curve,
                               symmetrize_field, symmetry_residual, torus_knot)

@@ -4,12 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from knotgauge.curve import Curve, circle, resample_arclength
+from knotgauge.curve import Curve, circle, param_window, resample_arclength
 from knotgauge.distortion import local_distortion
-from knotgauge.sobolev import (Annulus, Arc, Ball, ConcentratedSeminormError,
+from knotgauge.sobolev import (ConcentratedSeminormError, ball_halfwidth,
                                ball_window_sums, bilip_constant,
                                bilip_lower_bound, fractional_admissible_scale,
-                               seminorm_sq, tangent_density, window_mask)
+                               seminorm_sq, tangent_density)
 from util import rigid_moved, torus_knot_raw, track_curve
 
 # full-domain squared seminorm of the unit-speed circle computed by the same
@@ -28,7 +28,7 @@ class TestSeminorm:
         q[2 * n:3 * n] = np.stack([1.0 - s, 0.5 * np.ones(n), np.zeros(n)], axis=1)
         q[3 * n:] = np.stack([np.zeros(n), 0.5 - 0.5 * s, np.zeros(n)], axis=1)
         c = Curve(q)
-        v = seminorm_sq(c, Ball(x=n / 2 / (4 * n), r=0.05))
+        v = seminorm_sq(c, param_window(c.n, n / 2 / (4 * n), 0.05))
         assert v == 0.0
 
     def test_circle_convergence(self):
@@ -39,7 +39,8 @@ class TestSeminorm:
 
     def test_annulus_shrinks_to_zero(self, circle512):
         with pytest.warns(UserWarning, match="fewer than two samples"):
-            v = seminorm_sq(circle512, Annulus(x=0.25, r=0.1, theta=0.999))
+            v = seminorm_sq(circle512,
+                            param_window(512, 0.25, 0.1, inner=0.999 * 0.1))
         assert v == 0.0
 
     def test_additive_over_disjoint_windows(self, circle512):
@@ -65,8 +66,16 @@ class TestSeminorm:
         assert sums[0] == pytest.approx(
             grid.density[np.ix_(m, m)].sum(), rel=1e-9)
         # windows are closed: sample 279 sits at r + 5e-18 after rounding
-        assert window_mask(Ball(215 / 2048 + 0.025, 0.00625), 2048)[279]
+        assert param_window(2048, 215 / 2048 + 0.025, 0.00625)[279]
 
+    @pytest.mark.parametrize("n", [64, 101, 128, 2048])
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize("delta", [0.0, 5e-16, 2e-15, 1e-14, 1e-13])
+    def test_halfwidth_counts_mask_samples(self, n, k, delta):
+        # the summed-area sums and the masks share one closed-window rule
+        r = k / n - delta
+        k_mask = int(np.count_nonzero(param_window(n, 0.0, r))) // 2
+        assert ball_halfwidth(r, n) == k_mask
 
     @pytest.mark.parametrize("n", [101, 128])
     @pytest.mark.parametrize("kind", ["seminorm", "asymmetric"])
@@ -116,7 +125,7 @@ class TestDensityCache:
 
         monkeypatch.setattr(sobolev, "_density", counted)
         c = circle(256)
-        seminorm_sq(c, Ball(0.25, 0.1))
+        seminorm_sq(c, param_window(c.n, 0.25, 0.1))
         fractional_admissible_scale(c)
         detect_concentrations(c)
         assert builds == [2]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from knotgauge.curve import Curve, circle
-from knotgauge.sobolev import Annulus, bilip_constant, seminorm_sq
+from knotgauge.sobolev import bilip_constant
 from knotgauge.substitution import (THETA1, SubstitutionError,
                                     excess_field, good_sets, mean_direction,
                                     substitute, theta3, theta4,
@@ -56,22 +56,24 @@ class TestMeanDirection:
 class TestGoodSets:
     def test_straight_all_good(self):
         c, x = track_curve(n=1024, seed=None, cap_noise=0.0)
-        gs = good_sets(c, x, theta=1e-9, r=0.04)
         # every candidate near x +- r/2 qualifies (maximal excess is 0 there)
         exc = excess_field(c, x, 0.04, nu=np.array([1.0, 0.0, 0.0]))
+        gs = good_sets(exc, theta=1e-9)
         for idx in np.concatenate([gs.g_plus, gs.g_minus]):
             assert exc.maximal[idx] <= (1e-9) ** 0.25
 
     def test_theta1_ceiling(self):
         c, x = track_curve(n=512, seed=None, cap_noise=0.0)
         with pytest.raises(SubstitutionError, match="theta must be below"):
-            good_sets(c, x, theta=1e-4, r=0.04)
+            good_sets(excess_field(c, x, 0.04, nu=np.array([1.0, 0.0, 0.0])),
+                      theta=1e-4)
 
     def test_members_obey_threshold(self):
         c, x = track_curve(n=2048, seed=7)
         theta = 1e-9
-        exc = excess_field(c, x, 0.05, theta=theta)
-        gs = good_sets(c, x, theta=theta, r=0.05, excess=exc)
+        exc = excess_field(c, x, 0.05,
+                           nu=mean_direction(c, x, 0.05, theta).nu)
+        gs = good_sets(exc, theta=theta)
         thr = theta ** 0.25
         assert np.all(exc.maximal[gs.g_plus] <= thr)
         assert np.all(exc.maximal[gs.g_minus] <= thr)
