@@ -10,8 +10,10 @@ from __future__ import annotations
 import csv
 import json
 import os
+from itertools import chain
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 MIN_SAMPLES = 8
 
@@ -28,6 +30,13 @@ RESAMPLE_MAX_ITER = 200
 #: that the (rows, N, 3) temporaries stay under 0.5 MB whatever N is and
 #: stay in cache
 PAIR_BLOCK = 1 << 14
+
+#: points whose candidate edges a batched polyline distance gathers together
+NEAR_CHUNK = 256
+
+#: relative slack on the radius of each point's ball of candidate vertices;
+#: it absorbs the rounding of that radius and of the tree's distances
+NEAR_SLACK = 1e-12
 
 #: non-adjacent samples closer than this fraction of the length coincide
 COINCIDENCE_TOL = 1e-14
@@ -98,10 +107,10 @@ class Curve:
 
     Vertices, edge vectors and squared edge lengths are computed and
     validated once, at construction.  Every other derived quantity (edge
-    lengths, cumulative arclength, tangents, diameter, pair matrices, the
-    embeddedness verdict, the pair table, one tangent density per band) is
-    built lazily through :meth:`cached`.  Every array a curve keeps is
-    read-only.
+    lengths, cumulative arclength, tangents, diameter, longest edge, pair
+    matrices, the embeddedness verdict, the pair table, one tangent density
+    per band, the KD-tree over the vertices) is built lazily through
+    :meth:`cached`.  Every array a curve keeps is read-only.
     """
 
     def __init__(self, samples):
@@ -122,9 +131,10 @@ class Curve:
         self._cache = {}
 
     def cached(self, key, build):
-        """The value ``build()`` returns (an array, a number, a flag or a
-        tuple of them), built on the first request for ``key`` only and
-        kept with the curve, its arrays read-only."""
+        """The value ``build()`` returns (an array, a number, a flag, a
+        tuple of them, or the ``cKDTree`` over the vertices, which shares
+        the read-only samples), built on the first request for ``key`` only
+        and kept with the curve, its arrays read-only."""
         if key not in self._cache:
             value = build()
             for a in value if isinstance(value, tuple) else (value,):
@@ -173,6 +183,10 @@ class Curve:
 
     def min_edge(self):
         return float(np.min(self.edge_lengths()))
+
+    def max_edge(self):
+        return self.cached("max_edge",
+                           lambda: float(np.max(self.edge_lengths())))
 
     # -- metrics -----------------------------------------------------------
 
@@ -255,38 +269,78 @@ def point_to_polyline_distance(points, c):
     """Distance from a point, shape (3,), or from each of P points, shape
     (P, 3), to the closed polyline of ``c``.
 
-    Projects onto every edge (clamped) and takes the minimum; exact for
-    polygons, O(P * N).  Returns a float for one point, else a (P,) array.
-    The points are taken in blocks of about ``PAIR_BLOCK`` point-edge
-    pairs through one set of (rows, N, 3) work arrays that every block
-    reuses, so a Hausdorff distance at N=2048 needs under 1 MB of
-    temporaries.
+    Projects each point onto edges (clamped) and takes the minimum; exact
+    for polygons.  Returns a float for one point, else a (P,) array.  A
+    query of at most ``PAIR_BLOCK`` point-edge pairs projects onto every
+    edge.  A larger one projects each point x only onto the edges at the
+    vertices within dv + h_max/2 of x (dv: the distance to its nearest
+    vertex, h_max: the longest edge), read from the curve's cached vertex
+    KD-tree: the nearest point y of the polygon lies on an edge whose
+    nearer end is within |x - y| + h_max/2 <= dv + h_max/2 of x.  The
+    per-pair arithmetic is the same on both paths, so both give the same
+    value bit for bit.  The local path projects its candidate pairs in
+    blocks of ``PAIR_BLOCK`` through one set of work arrays, so its
+    (pairs, 3) temporaries stay under 0.5 MB each whatever N is.
     """
     p = np.asarray(points, dtype=float)
     q = p.reshape(-1, 3)
-    a = c.samples
-    v = c.edge_vectors()
-    vv = c.edge_sq_lengths()
-    rows = max(1, min(len(q), PAIR_BLOCK // c.n))
-    w = np.empty((rows, c.n, 3))
-    tv = np.empty_like(w)
-    t = np.empty((rows, c.n))
-    d = np.empty(len(q))
-    for lo in range(0, len(q), rows):
-        hi = min(lo + rows, len(q))
-        if hi - lo < rows:
-            w, tv, t = w[:hi - lo], tv[:hi - lo], t[:hi - lo]
-        # foot of the perpendicular at a + t v, clamped to the edge
-        np.subtract(q[lo:hi, None, :], a, w)
-        np.einsum("pij,ij->pi", w, v, out=t)
-        np.divide(t, vv, t)
-        np.clip(t, 0.0, 1.0, t)
-        np.multiply(t[..., None], v, tv)
-        np.subtract(w, tv, w)
-        np.einsum("pij,pij->pi", w, w, out=t)
-        t.min(axis=1, out=d[lo:hi])
+    if len(q) * c.n <= PAIR_BLOCK:
+        w = q[:, None, :] - c.samples
+        d = _edge_sq_distances(w, c.edge_vectors(), c.edge_sq_lengths(),
+                               np.empty(w.shape[:2]),
+                               np.empty_like(w)).min(axis=1)
+    else:
+        d = _near_sq_distances(q, c)
     np.sqrt(d, d)
     return float(d[0]) if p.ndim == 1 else d.reshape(p.shape[:-1])
+
+
+def _edge_sq_distances(w, v, vv, out, tv):
+    """Squared distances from the points x to the edges a + [0, 1] v, given
+    w = x - a, shape (..., 3), which is overwritten, and the edge vectors
+    ``v`` and their squared lengths ``vv`` broadcast against it; written to
+    ``out`` (shape ``w.shape[:-1]``), with ``tv`` a work array like w."""
+    # foot of the perpendicular at a + t v, clamped to the edge
+    np.einsum("...j,...j->...", w, v, out=out)
+    np.divide(out, vv, out)
+    np.clip(out, 0.0, 1.0, out)
+    np.multiply(out[..., None], v, tv)
+    np.subtract(w, tv, w)
+    return np.einsum("...j,...j->...", w, w, out=out)
+
+
+def _near_sq_distances(q, c):
+    """Squared polyline distances of the points q, each over the edges at
+    the vertices of its ball of radius dv + h_max/2 (see
+    :func:`point_to_polyline_distance`); the balls of ``NEAR_CHUNK`` points
+    are gathered together, and their point-edge pairs projected in blocks
+    of ``PAIR_BLOCK``."""
+    tree = c.cached("vertex_tree", lambda: cKDTree(c.samples))
+    a, v, vv = c.samples, c.edge_vectors(), c.edge_sq_lengths()
+    half = 0.5 * c.max_edge()
+    w = np.empty((PAIR_BLOCK, 3))
+    tv = np.empty_like(w)
+    d = np.empty(len(q))
+    for lo in range(0, len(q), NEAR_CHUNK):
+        x = q[lo:lo + NEAR_CHUNK]
+        dv, _ = tree.query(x)
+        balls = tree.query_ball_point(x, (dv + half) * (1.0 + NEAR_SLACK))
+        # each ball holds the nearest vertex, so no point's group is empty
+        counts = np.fromiter(map(len, balls), np.intp, len(balls))
+        verts = np.fromiter(chain.from_iterable(balls), np.intp,
+                            int(counts.sum()))
+        # both edges at each vertex, grouped by point
+        edges = np.stack([verts, verts - 1], axis=1).ravel() % c.n
+        owner = np.repeat(np.arange(len(x)), 2 * counts)
+        sq = np.empty(len(edges))
+        for s in range(0, len(edges), PAIR_BLOCK):
+            e, k = edges[s:s + PAIR_BLOCK], owner[s:s + PAIR_BLOCK]
+            ws, ts = w[:len(e)], tv[:len(e)]
+            np.subtract(x[k], a[e], ws)
+            _edge_sq_distances(ws, v[e], vv[e], sq[s:s + len(e)], ts)
+        starts = np.concatenate([[0], np.cumsum(2 * counts)[:-1]])
+        d[lo:lo + len(x)] = np.minimum.reduceat(sq, starts)
+    return d
 
 
 def hausdorff_distance(a, b):

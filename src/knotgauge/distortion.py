@@ -226,6 +226,10 @@ class EquivalenceCertificate:
     delta1: float | None
     delta2: float | None
     hausdorff: float
+    min_edge1: float
+    max_edge1: float
+    min_edge2: float
+    max_edge2: float
     threshold: float
     margin: float
     passed: bool
@@ -239,6 +243,8 @@ class EquivalenceCertificate:
             "r1": self.r1, "r2": self.r2,
             "delta1": self.delta1, "delta2": self.delta2,
             "hausdorff": self.hausdorff,
+            "min_edge1": self.min_edge1, "max_edge1": self.max_edge1,
+            "min_edge2": self.min_edge2, "max_edge2": self.max_edge2,
             "threshold": self.threshold, "margin": self.margin,
             "pass": self.passed, "verdict": self.verdict,
         }
@@ -250,8 +256,13 @@ def certify_equivalence(a, b, threshold=None, margin=1e-3):
     Searches each curve for the largest admissible scale with local
     distortion below ``threshold - margin`` (the margin absorbs the O(1/N)
     underestimate of the discrete supremum), then demands that the Hausdorff
-    distance be below a quarter of the smaller scale.
+    distance be below a quarter of the smaller scale.  The certificate also
+    carries each curve's shortest and longest edge.  Raises ValueError
+    unless ``margin`` is finite and >= 0: a negative margin would certify
+    at a distortion above the threshold.
     """
+    if not (math.isfinite(margin) and margin >= 0.0):
+        raise ValueError(f"margin must be finite and >= 0 (got {margin})")
     if threshold is None:
         threshold = distortion_threshold(3)
     thr = threshold - margin
@@ -263,6 +274,8 @@ def certify_equivalence(a, b, threshold=None, margin=1e-3):
     ok = (r1 is not None and r2 is not None
           and d1 < thr and d2 < thr
           and h < 0.25 * min(r1, r2))
-    return EquivalenceCertificate(r1=r1, r2=r2, delta1=d1, delta2=d2,
-                                  hausdorff=h, threshold=threshold,
-                                  margin=margin, passed=bool(ok))
+    return EquivalenceCertificate(
+        r1=r1, r2=r2, delta1=d1, delta2=d2, hausdorff=h,
+        min_edge1=a.min_edge(), max_edge1=a.max_edge(),
+        min_edge2=b.min_edge(), max_edge2=b.max_edge(),
+        threshold=threshold, margin=margin, passed=bool(ok))

@@ -98,6 +98,12 @@ class TestCertify:
         rc = main(["certify", trefoil_file, "/nonexistent.json"])
         assert rc == 1
 
+    def test_negative_margin_refused(self, circle_file, capsys):
+        rc = main(["certify", circle_file, circle_file, "--margin", "-0.1"])
+        assert rc == 1
+        assert ("margin must be finite and >= 0 (got -0.1)"
+                in capsys.readouterr().err)
+
 
 class TestSubstitute:
     def test_track_run(self, tmp_path):

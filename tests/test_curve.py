@@ -3,13 +3,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from knotgauge.curve import (Curve, CurveError, EmbeddingError, circle,
-                             hausdorff_distance, load_curve, param_distance,
+from knotgauge.curve import (PAIR_BLOCK, Curve, CurveError, EmbeddingError,
+                             circle, hausdorff_distance, load_curve,
+                             param_distance, point_to_polyline_distance,
                              resample_arclength, save_curve)
+from knotgauge.mobius import torus_knot
 from knotgauge.sobolev import seminorm_sq
-from util import fourier_curve, rigid_moved
+from util import (dense_hausdorff_distance, dense_point_to_polyline_distance,
+                  fourier_curve, random_rotation, rigid_moved)
 
 
 def test_needs_min_samples():
@@ -126,6 +129,102 @@ class TestHausdorff:
         assert hausdorff_distance(a, b) == hausdorff_distance(b, a)
         assert (hausdorff_distance(a, c)
                 <= hausdorff_distance(a, b) + hausdorff_distance(b, c) + 1e-12)
+
+
+def _random_polygon(rng, n, split):
+    """Random closed curve at N sorted random parameters, so its edges are
+    far from uniform, under a random rigid motion; with ``split``, one edge
+    is cut at 1e-6 of its length (N counts the extra vertex)."""
+    t = 2 * np.pi * np.sort(rng.uniform(size=n - split))
+    q = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
+    for k in range(2, 5):
+        coef = rng.normal(scale=0.3 / k, size=(2, 3))
+        q += (coef[0] * np.sin(k * t)[:, None]
+              + coef[1] * np.cos(k * t)[:, None])
+    if split:
+        k = int(rng.integers(len(q)))
+        cut = q[k] + 1e-6 * (q[(k + 1) % len(q)] - q[k])
+        q = np.insert(q, k + 1, cut, axis=0)
+    rot = random_rotation(int(rng.integers(2**31)))
+    return Curve(q @ rot.T + rng.normal(scale=3.0, size=3))
+
+
+def _probe_points(rng, c, m):
+    """m points each 1e-4 from random points of the polygon, far from it
+    (1e3 diameters), on its vertices and on its edge midpoints."""
+    a, v = c.samples, c.edge_vectors()
+
+    def unit(k):
+        u = rng.normal(size=(k, 3))
+        return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+    e = rng.integers(c.n, size=m)
+    near = a[e] + rng.uniform(size=(m, 1)) * v[e] + 1e-4 * unit(m)
+    far = a.mean(axis=0) + 1e3 * c.diameter() * unit(m)
+    verts = a[rng.integers(c.n, size=m)]
+    e = rng.integers(c.n, size=m)
+    mids = a[e] + 0.5 * v[e]
+    return np.concatenate([near, far, verts, mids])
+
+
+class TestPolylineDistance:
+    """Batches above one block of pairs read local edges from the vertex
+    tree; they must equal the all-edges reference bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(8, 300), st.booleans(),
+           st.booleans())
+    def test_equals_dense_reference(self, seed, n, split, near_copy):
+        rng = np.random.default_rng(seed)
+        a = _random_polygon(rng, n, split)
+        # four kinds of points, together more than one block
+        pts = _probe_points(rng, a, PAIR_BLOCK // (4 * n) + 1)
+        got = point_to_polyline_distance(pts, a)
+        assert np.array_equal(got, dense_point_to_polyline_distance(pts, a))
+        assert point_to_polyline_distance(pts[-1], a) == got[-1]
+        if near_copy:
+            b = Curve(a.samples + 1e-4 * rng.normal(size=a.samples.shape))
+        else:
+            b = _random_polygon(rng, int(rng.integers(8, 301)), split)
+        assert hausdorff_distance(a, b) == dense_hausdorff_distance(a, b)
+
+    def test_long_edge_nearer_than_nearest_vertex(self):
+        # a half circle closed by its diameter, one edge of length 2;
+        # points just above the diameter's middle are nearest the top of
+        # the arc among the vertices, but nearest the diameter among edges
+        n = 64
+        t = np.pi * np.arange(n) / (n - 1)
+        c = Curve(np.stack([np.cos(t), np.sin(t), np.zeros(n)], axis=1))
+        rng = np.random.default_rng(4)
+        m = PAIR_BLOCK // n + 1
+        h = rng.uniform(1e-3, 2e-2, size=m)
+        pts = np.stack([rng.uniform(-0.05, 0.05, size=m), h, np.zeros(m)],
+                       axis=1)
+        nearest = np.argmin(np.linalg.norm(
+            pts[:, None, :] - c.samples, axis=2), axis=1)
+        assert np.all((nearest > 0) & (nearest < n - 1))
+        got = point_to_polyline_distance(pts, c)
+        assert np.array_equal(got, dense_point_to_polyline_distance(pts, c))
+        assert np.allclose(got, h, rtol=1e-12, atol=0.0)
+
+    def test_equidistant_vertices(self):
+        # near the center of a circle every vertex is a candidate, so the
+        # candidate pairs of one chunk span many blocks
+        c = circle(512)
+        pts = 1e-3 * np.random.default_rng(5).normal(size=(300, 3))
+        got = point_to_polyline_distance(pts, c)
+        assert np.array_equal(got, dense_point_to_polyline_distance(pts, c))
+
+    @pytest.mark.parametrize("n", [8, 300, 2048])
+    def test_one_block_boundary(self, n):
+        c = rigid_moved(torus_knot(2, 3, n=n), seed=n)
+        rng = np.random.default_rng(n)
+        p = PAIR_BLOCK // n
+        pts = _probe_points(rng, c, p // 4 + 1)[:p + 1]
+        one_block = point_to_polyline_distance(pts[:p], c)
+        local = point_to_polyline_distance(pts, c)
+        assert np.array_equal(local[:p], one_block)
+        assert np.array_equal(local, dense_point_to_polyline_distance(pts, c))
 
 
 class TestResample:

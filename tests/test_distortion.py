@@ -229,6 +229,20 @@ class TestCertificate:
         assert cert.verdict == "inconclusive"
         # both curves individually admit scales; only the gap bound fails
         assert cert.r1 is not None and cert.r2 is not None
+
+    @pytest.mark.parametrize("margin", [-0.1, -1e-12, math.nan, math.inf])
+    def test_rejects_bad_margin(self, margin):
+        # without the check, margin=-0.1 certifies two circles at
+        # delta1 = 1.289, above g3 = 1.209
+        with pytest.raises(ValueError, match=r"margin must be finite and >= 0"):
+            certify_equivalence(circle(256), circle(256), margin=margin)
+
+    def test_reports_edge_range(self, trefoil512, circle512):
+        cert = certify_equivalence(trefoil512, circle512).to_dict()
+        for key, c in (("1", trefoil512), ("2", circle512)):
+            assert cert["min_edge" + key] == float(c.edge_lengths().min())
+            assert cert["max_edge" + key] == float(c.edge_lengths().max())
+
     def test_perturbed_trefoil(self, trefoil512):
         t = trefoil512.params()
         bump = 1e-4 * np.stack([np.sin(2 * np.pi * t),

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from knotgauge.curve import Curve, resample_arclength
+from knotgauge.curve import PAIR_BLOCK, Curve, resample_arclength
 
 
 def curve_from_angles(angles):
@@ -203,3 +203,44 @@ def dense_mobius_gradient(c):
              + p[:, None] * (u_prev - u)
              + np.roll(p, 1)[:, None] * u_prev)
     return grad
+
+
+# -- dense reference polyline distance --------------------------------------------
+# The all-edges evaluation the local edge query of
+# knotgauge.curve.point_to_polyline_distance replaced for large batches, kept
+# as the reference it must equal bit for bit.
+
+
+def dense_point_to_polyline_distance(points, c):
+    """Distance from each point to the closed polyline of ``c``, projecting
+    onto every edge (clamped) in blocks of about ``PAIR_BLOCK`` pairs."""
+    p = np.asarray(points, dtype=float)
+    q = p.reshape(-1, 3)
+    a = c.samples
+    v = c.edge_vectors()
+    vv = c.edge_sq_lengths()
+    rows = max(1, min(len(q), PAIR_BLOCK // c.n))
+    w = np.empty((rows, c.n, 3))
+    tv = np.empty_like(w)
+    t = np.empty((rows, c.n))
+    d = np.empty(len(q))
+    for lo in range(0, len(q), rows):
+        hi = min(lo + rows, len(q))
+        if hi - lo < rows:
+            w, tv, t = w[:hi - lo], tv[:hi - lo], t[:hi - lo]
+        np.subtract(q[lo:hi, None, :], a, w)
+        np.einsum("pij,ij->pi", w, v, out=t)
+        np.divide(t, vv, t)
+        np.clip(t, 0.0, 1.0, t)
+        np.multiply(t[..., None], v, tv)
+        np.subtract(w, tv, w)
+        np.einsum("pij,pij->pi", w, w, out=t)
+        t.min(axis=1, out=d[lo:hi])
+    np.sqrt(d, d)
+    return float(d[0]) if p.ndim == 1 else d.reshape(p.shape[:-1])
+
+
+def dense_hausdorff_distance(a, b):
+    """Vertex-to-polyline Hausdorff distance through the dense reference."""
+    return max(float(dense_point_to_polyline_distance(a.samples, b).max()),
+               float(dense_point_to_polyline_distance(b.samples, a).max()))
