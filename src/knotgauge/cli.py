@@ -191,13 +191,13 @@ def _cmd_minimize(args):
 def _cmd_concentrate(args):
     c = load_curve(args.curve)
     ref = load_curve(args.reference) if args.reference else None
-    rep = pipeline(c, args.p, reference=ref, eps=args.eps)
+    rep = pipeline(c, args.p, reference=ref)
     if args.out:
         save_curve(rep.modified, args.out)
     report = _report_header(
         args, [args.curve] + ([args.reference] if args.reference else []))
     report.update({
-        "eps": rep.eps,
+        "eps": EPSILON,
         "detected": rep.detection.params,
         "detection_warnings": rep.detection.warnings,
         "cardinality_bound": rep.detection.cardinality_bound,
@@ -279,9 +279,6 @@ def build_parser():
     p.add_argument("curve")
     p.add_argument("--reference", help="smooth reference curve")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--eps", type=float, default=EPSILON,
-                   help="concentration mass quantum (off-default values "
-                        "are experimental)")
     p.add_argument("--out", help="write the modified curve")
     p.add_argument("--report", help="write JSON report")
     p.set_defaults(func=_cmd_concentrate)

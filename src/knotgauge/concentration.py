@@ -44,7 +44,6 @@ class ConcentrationError(RuntimeError):
 @dataclass
 class Detection:
     """Concentration representatives with their window masses."""
-    eps: float
     halfwidth: int
     indices: list                 # one representative per cluster
     params: list
@@ -56,23 +55,23 @@ class Detection:
 
     @property
     def cardinality_bound(self):
-        return math.ceil(self.total_mass / self.eps)
+        return math.ceil(self.total_mass / EPSILON)
 
 
-def detect_concentrations(c, eps=EPSILON):
-    """Find parameters whose smallest resolvable window exceeds ``eps``.
+def detect_concentrations(c):
+    """Find parameters whose smallest resolvable window exceeds ``EPSILON``.
 
     Flags every sample whose diagonal window of halfwidth 4 grid steps holds
-    mass above eps, then coalesces contiguous flagged runs (gap at most the
+    mass above EPSILON, then coalesces contiguous flagged runs (gap at most the
     window width) into single representatives at the run centers.  The number
     of representatives always satisfies the counting bound
-    ``len <= ceil(total mass / eps)`` because their windows are disjoint.
+    ``len <= ceil(total mass / EPSILON)`` because their windows are disjoint.
     """
     grid = tangent_density(c)
     n = c.n
     k = DETECT_HALFWIDTH
     masses = ball_window_sums(grid.density, k)
-    flagged = np.where(masses > eps)[0]
+    flagged = np.where(masses > EPSILON)[0]
     reps, members = _coalesce(flagged, masses, n, gap=2 * k)
     notes = []
     r = k / n
@@ -84,7 +83,7 @@ def detect_concentrations(c, eps=EPSILON):
                 notes.append(
                     f"off-diagonal window ({i}, {j}) mass {mass:.3e} above "
                     f"the decay bound (discretization artifact)")
-    det = Detection(eps=eps, halfwidth=k, indices=reps,
+    det = Detection(halfwidth=k, indices=reps,
                     params=[i / n for i in reps],
                     rep_masses=[float(masses[i]) for i in reps],
                     cluster_members=members, sample_masses=masses,
@@ -145,7 +144,7 @@ def select_scale(c, detection, p, L, r_gamma=None):
     distortion scale of a reference when available, (iii) 1/(4p), (iv) a
     quarter of the minimal center separation, and (v) the largest radius at
     which all windows away from the concentration clusters hold mass at
-    most 2 eps.
+    most 2 EPSILON.
     """
     if not detection.indices:
         raise ConcentrationError("no concentrations detected; nothing to cut")
@@ -198,7 +197,7 @@ def _uniform_smallness_radius(c, detection, ladder):
         dens, [ball_halfwidth(r, c.n) for r in ladder]).max(axis=1)
     best = None
     for r, w in zip(ladder, worst):
-        if float(w) <= 2.0 * detection.eps:
+        if float(w) <= 2.0 * EPSILON:
             best = float(r)
         else:
             break
@@ -210,7 +209,6 @@ def _uniform_smallness_radius(c, detection, ladder):
 
 @dataclass
 class ConcentrationReport:
-    eps: float
     detection: Detection
     bilip: float
     theta: float
@@ -230,7 +228,7 @@ class ConcentrationReport:
         return all(self.flags.values())
 
 
-def pipeline(c, p, reference=None, eps=EPSILON):
+def pipeline(c, p, reference=None):
     """Detect concentrations, cut them out, and verify the final bounds.
 
     Works on the unit-length normalization of the input; the modified curve
@@ -247,7 +245,7 @@ def pipeline(c, p, reference=None, eps=EPSILON):
             raise ConcentrationError(
                 "reference must share the curve's sample count")
         ref = Curve(reference.samples / length)
-    det = detect_concentrations(work, eps=eps)
+    det = detect_concentrations(work)
     L = bilip_constant(work)
     theta = theta4(L)
 
@@ -259,7 +257,7 @@ def pipeline(c, p, reference=None, eps=EPSILON):
             flags["certificate"] = cert.passed
             flags["budget"] = True
         return ConcentrationReport(
-            eps=eps, detection=det, bilip=L, theta=theta, scale=None,
+            detection=det, bilip=L, theta=theta, scale=None,
             substitution=None, modified=c, final_scale=None,
             distortion_final=None, distortion_margin=DISTORTION_MARGIN,
             budget=None, linf_reference=None, certificate=cert, flags=flags)
@@ -293,7 +291,7 @@ def pipeline(c, p, reference=None, eps=EPSILON):
         cert = certify_equivalence(ref, modified)
         flags["certificate"] = cert.passed
     return ConcentrationReport(
-        eps=eps, detection=det, bilip=L, theta=theta, scale=sel,
+        detection=det, bilip=L, theta=theta, scale=sel,
         substitution=rep, modified=Curve(modified.samples * length),
         final_scale=final_scale, distortion_final=dist_final,
         distortion_margin=DISTORTION_MARGIN, budget=budget,

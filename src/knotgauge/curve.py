@@ -107,10 +107,11 @@ class Curve:
 
     Vertices, edge vectors and squared edge lengths are computed and
     validated once, at construction.  Every other derived quantity (edge
-    lengths, cumulative arclength, tangents, diameter, longest edge, pair
-    matrices, the embeddedness verdict, the pair table, one tangent density
-    per band, the KD-tree over the vertices) is built lazily through
-    :meth:`cached`.  Every array a curve keeps is read-only.
+    lengths, cumulative arclength, tangents, longest edge, the chord matrix
+    with its embeddedness verdict and diameter, the intrinsic matrix, the
+    pair table, one tangent density per band, the KD-tree over the
+    vertices) is built lazily through :meth:`cached`.  Every array a curve
+    keeps is read-only.
     """
 
     def __init__(self, samples):
@@ -177,9 +178,8 @@ class Curve:
         return float(self.cum_lengths()[-1])
 
     def diameter(self):
-        """Largest pairwise vertex distance."""
-        return self.cached("diameter",
-                           lambda: float(np.max(self.chord_matrix())))
+        """Largest pairwise vertex distance, found by the chord build."""
+        return self._chords()[2]
 
     def min_edge(self):
         return float(np.min(self.edge_lengths()))
@@ -199,21 +199,8 @@ class Curve:
 
     def check_embedded(self):
         """Raise :class:`EmbeddingError` when a non-adjacent chord is at most
-        ``COINCIDENCE_TOL`` times the length; the row-block scan of
-        :meth:`chord_matrix` runs once per curve."""
-        def build():
-            n, chord = self.n, self.chord_matrix()
-            tol = COINCIDENCE_TOL * self.total_length()
-            embedded = True
-            for b in row_blocks(n):
-                close = chord[b] <= tol
-                # only more close pairs than the diagonal need a look
-                if np.count_nonzero(close) > b.stop - b.start:
-                    i, j = np.nonzero(close)
-                    sep = np.abs(i + b.start - j)
-                    embedded &= not np.any(np.minimum(sep, n - sep) > 1)
-            return embedded
-        if not self.cached("embedded", build):
+        ``COINCIDENCE_TOL`` times the length, as found by the chord build."""
+        if not self._chords()[1]:
             raise EmbeddingError("not embedded: non-adjacent samples coincide")
 
     def intrinsic_rows(self, rows):
@@ -234,13 +221,28 @@ class Curve:
             return m
         return self.cached("intrinsic_matrix", build)
 
+    def chord_rows(self, rows, cols=None):
+        """Rows ``rows`` (a slice or index array) of :meth:`chord_matrix`,
+        or with ``cols`` its block ``np.ix_(rows, cols)``, read-only: how
+        every pair scan reads chords.  Raises :class:`EmbeddingError` on a
+        curve that is not embedded."""
+        chord, embedded, _ = self._chords()
+        if not embedded:
+            raise EmbeddingError("not embedded: non-adjacent samples coincide")
+        out = chord[rows] if cols is None else chord[np.ix_(rows, cols)]
+        out.setflags(write=False)
+        return out
+
     def chord_matrix(self):
-        """N x N matrix of euclidean vertex distances."""
+        """N x N matrix of euclidean vertex distances (see :meth:`_chords`)."""
         def build():
+            n = self.n
             x, y, z = self._q.T
-            m = np.empty((self.n, self.n))
-            blocks = row_blocks(self.n)
-            diff = np.empty((blocks[0].stop, self.n))
+            tol = COINCIDENCE_TOL * self.total_length()
+            m = np.empty((n, n))
+            blocks = row_blocks(n)
+            diff = np.empty((blocks[0].stop, n))
+            embedded, diameter = True, -np.inf
             for b in blocks:
                 mb, db = m[b], diff[:b.stop - b.start]
                 # summed as (dx^2 + dz^2) + dy^2, the order of an einsum
@@ -250,8 +252,23 @@ class Curve:
                 mb += np.square(np.subtract.outer(z[b], z, out=db), out=db)
                 mb += np.square(np.subtract.outer(y[b], y, out=db), out=db)
                 np.sqrt(mb, out=mb)
-            return m
-        return self.cached("chord_matrix", build)
+                diameter = max(diameter, float(mb.max()))
+                close = mb <= tol
+                # only more close pairs than the diagonal need a look
+                if np.count_nonzero(close) > b.stop - b.start:
+                    i, j = np.nonzero(close)
+                    sep = np.abs(i + b.start - j)
+                    embedded &= not np.any(np.minimum(sep, n - sep) > 1)
+            return m, embedded, diameter
+        return self.cached("chords", build)[0]
+
+    def _chords(self):
+        """The cache entry ``(matrix, embedded, diameter)``.  One row-block
+        pass builds it, taking each block's largest chord and coincident
+        pairs while the block is hot; it runs inside :meth:`chord_matrix`,
+        so a profile times the build there."""
+        self.chord_matrix()
+        return self._cache["chords"]
 
     def tangents(self):
         """Unit edge directions u_i = (q_{i+1} - q_i)/|q_{i+1} - q_i|."""

@@ -32,7 +32,7 @@ def distortion_threshold(n):
     a circle.
     """
     if int(n) != n or n < 3:
-        raise ValueError("dimension must be an integer >= 3")
+        raise ValueError(f"dimension must be an integer >= 3 (got {n})")
     a = math.sqrt((2.0 * n - 2.0) / n)
     return a * math.asin(1.0 / a)
 
@@ -40,7 +40,7 @@ def distortion_threshold(n):
 def threshold_angle(n):
     """Angle beta_n at which the arc/chord ratio reaches the threshold."""
     if int(n) != n or n < 3:
-        raise ValueError("dimension must be an integer >= 3")
+        raise ValueError(f"dimension must be an integer >= 3 (got {n})")
     return 2.0 * math.asin(math.sqrt(n / (2.0 * n - 2.0)))
 
 
@@ -114,23 +114,20 @@ def _pair_table(c):
     i < j that become the running maximum of intrinsic/chord (ties to the
     lexicographically smallest pair) when the pairs are taken in chord
     order, with their chords and ratios.  The local distortion at
-    scale r is then the last entry with chord <= 2r.  The ratios are those
-    of :meth:`~knotgauge.curve.Curve.chord_matrix` and
-    :meth:`~knotgauge.curve.Curve.intrinsic_matrix`, the latter read through
+    scale r is then the last entry with chord <= 2r.  The ratios are read
+    row by row through :meth:`~knotgauge.curve.Curve.chord_rows` and
     :meth:`~knotgauge.curve.Curve.intrinsic_rows`, so the build does not
     make the curve hold its N x N intrinsic matrix.  Building costs
     O(N^2 log N) time, in row blocks of small temporaries, and the table
     itself is short (93 entries for a trefoil at N=2048).  Raises
     :class:`~knotgauge.curve.EmbeddingError` on coincident samples.
     """
-    c.check_embedded()
     n = c.n
-    chord = c.chord_matrix()
     cols = np.arange(n)
     parts = []
     for b in row_blocks(n):
         flat = np.flatnonzero(cols > cols[b, None])
-        lengths = chord[b].ravel()[flat]
+        lengths = c.chord_rows(b).ravel()[flat]
         ratios = c.intrinsic_rows(b).ravel()[flat] / lengths
         parts.append(_state_changes(lengths, ratios, flat + b.start * n, n))
     lengths, ratios, flat = _state_changes(
@@ -149,8 +146,8 @@ def local_distortion(c, r):
     O(N^2 log N) and caches it read-only with the curve, and every scale
     after that costs one ``searchsorted``, O(log N).
     """
-    if r <= 0:
-        raise ValueError("scale r must be positive")
+    if not r > 0:
+        raise ValueError(f"scale r must be positive (got {r})")
     chords, values, pairs = c.cached("pair_table", lambda: _pair_table(c))
     k = int(np.searchsorted(chords, 2.0 * r, side="right")) - 1
     if k < 0:
@@ -201,8 +198,8 @@ def find_admissible_scale(c, threshold):
 
     Returns None when no rung qualifies.
     """
-    if not (1.0 < threshold < math.pi / 2.0):
-        raise ValueError("threshold must lie in (1, pi/2)")
+    if not 1.0 < threshold < math.pi / 2.0:
+        raise ValueError(f"threshold must lie in (1, pi/2) (got {threshold})")
     scales = scale_ladder(c)
     for r in scales[::-1]:
         v, _ = local_distortion(c, r)
@@ -258,14 +255,19 @@ def certify_equivalence(a, b, threshold=None, margin=1e-3):
     underestimate of the discrete supremum), then demands that the Hausdorff
     distance be below a quarter of the smaller scale.  The certificate also
     carries each curve's shortest and longest edge.  Raises ValueError
-    unless ``margin`` is finite and >= 0: a negative margin would certify
-    at a distortion above the threshold.
+    unless ``margin`` is finite and >= 0 (a negative margin would certify
+    at a distortion above the threshold) and ``threshold - margin`` lies in
+    (1, pi/2).
     """
     if not (math.isfinite(margin) and margin >= 0.0):
         raise ValueError(f"margin must be finite and >= 0 (got {margin})")
     if threshold is None:
         threshold = distortion_threshold(3)
     thr = threshold - margin
+    if not 1.0 < thr < math.pi / 2.0:
+        raise ValueError(
+            f"threshold - margin must lie in (1, pi/2) (got {threshold} - "
+            f"{margin} = {thr})")
     r1 = find_admissible_scale(a, thr)
     r2 = find_admissible_scale(b, thr)
     d1 = local_distortion(a, r1)[0] if r1 is not None else None

@@ -70,11 +70,9 @@ def _kernel_rows(c):
     the block's shorter-arc lengths with a unit diagonal, and its rows of
     1/chord^2 and 1/arc^2 with zero diagonals.  All are fresh arrays, so
     the curve's cached matrices are never written."""
-    c.check_embedded()
-    chord = c.chord_matrix()
     for b in row_blocks(c.n):
         diag = (np.arange(b.stop - b.start), np.arange(b.start, b.stop))
-        c2 = chord[b] ** 2
+        c2 = c.chord_rows(b) ** 2
         arc = c.intrinsic_rows(b)
         c2[diag] = 1.0
         arc[diag] = 1.0

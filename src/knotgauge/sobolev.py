@@ -133,9 +133,7 @@ def bilip_constant(c):
     pairs, cheaper than building the pair table that holds the same value;
     raises :class:`~knotgauge.curve.EmbeddingError` on coincident samples.
     """
-    c.check_embedded()
-    chord = c.chord_matrix()
-    return pair_ratio_range(c.intrinsic_rows, lambda b: chord[b], c.n)[1]
+    return pair_ratio_range(c.intrinsic_rows, c.chord_rows, c.n)[1]
 
 
 # -- window sweeps -------------------------------------------------------------
@@ -199,7 +197,9 @@ def fractional_admissible_scale(c):
     the local distortion at or below 2/sqrt(3).
 
     Raises :class:`ConcentratedSeminormError` when no ladder radius
-    qualifies (the seminorm is concentrated; use the concentration pipeline).
+    qualifies (the seminorm is concentrated; use the concentration
+    pipeline), and :class:`~knotgauge.curve.EmbeddingError` on coincident
+    samples.
     """
     n = c.n
     ladder = np.geomspace(4.0 / n, 0.25, LADDER_SIZE)
@@ -214,15 +214,15 @@ def fractional_admissible_scale(c):
     if rho is None:
         raise ConcentratedSeminormError(
             "seminorm too concentrated; use concentration pipeline")
-    chord = c.chord_matrix()
     t = np.arange(n) / n
     sigma = math.inf
     for b in row_blocks(n):
+        chord = c.chord_rows(b)
         dt = np.abs(t[b, None] - t[None, :])
         dt = np.minimum(dt, 1.0 - dt)
         far = dt >= 2.0 * rho
         if np.any(far):
-            sigma = min(sigma, float(np.min(chord[b][far])))
+            sigma = min(sigma, float(np.min(chord[far])))
     if sigma == math.inf:
         raise ConcentratedSeminormError(
             "no pairs beyond 2*rho; curve too coarse for the scale search")

@@ -339,15 +339,13 @@ def _verify(work, mod, centers, endpoints, theta, r, L, dirs):
     linf = float(np.max(np.linalg.norm(work.samples - mod.samples, axis=1)))
     linf_ok = linf < 6.0 * t8 * r + VERIFY_SLACK
 
-    ch_mod = mod.chord_matrix()
-
     window_distortions = []
     wd_ok = True
     for (x, (xm, xp)) in zip(centers, endpoints):
         for lo, hi in (((x - r) % 1.0, xp), (xm, (x + r) % 1.0)):
             idx = np.flatnonzero(arc_window(n, lo, hi))
             sub_d = mod.intrinsic_rows(idx)[:, idx]
-            sub_c = ch_mod[np.ix_(idx, idx)]
+            sub_c = mod.chord_rows(idx, idx)
             iu = np.triu_indices(idx.size, k=1)
             ratios = sub_d[iu] / sub_c[iu]
             v = float(ratios.max()) if ratios.size else 1.0

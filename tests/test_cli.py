@@ -4,10 +4,12 @@ import importlib
 import json
 import math
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
 
+import knotgauge
 from knotgauge.cli import main
 from knotgauge.curve import Curve, circle, load_curve, save_curve
 from knotgauge.mobius import (MinimizeConfig, minimize_symmetric,
@@ -105,6 +107,14 @@ class TestCertify:
                 in capsys.readouterr().err)
 
 
+    def test_margin_above_threshold_refused(self, circle_file, capsys):
+        rc = main(["certify", circle_file, circle_file, "--margin", "0.5"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "threshold - margin must lie in (1, pi/2)" in err
+        assert " - 0.5 = 0.709" in err
+
+
 class TestSubstitute:
     def test_track_run(self, tmp_path):
         c, x = track_curve(n=1024, seed=1)
@@ -145,6 +155,13 @@ class TestFlow:
         assert len(rows) == 66
         dists = [float(r[4]) for r in rows[1:]]
         assert dists[-1] >= dists[0] - 1e-6
+
+    def test_nan_scale_refused(self, trefoil_file, capsys):
+        rc = main(["flow", trefoil_file, "--seed", "0,0,3", "--dir", "inc",
+                   "--rM", "nan", "--rho", "0.01"])
+        assert rc == 1
+        assert ("error: scale r must be positive (got nan)"
+                in capsys.readouterr().err)
 
 
 class TestMinimize:
@@ -193,6 +210,26 @@ class TestConcentrate:
     def test_unknown_args(self):
         with pytest.raises(SystemExit):
             main(["concentrate", "--bogus"])
+
+    def test_eps_option_removed(self, trefoil_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["concentrate", trefoil_file, "--p", "3", "--eps", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --eps" in capsys.readouterr().err
+
+
+def test_public_names():
+    """The package namespace holds what the acceptance tests use."""
+    public = {k for k, v in vars(knotgauge).items()
+              if not k.startswith("_") and not isinstance(v, ModuleType)}
+    assert public == {
+        "Curve", "circle", "arc_chord_ratio", "certify_equivalence",
+        "distortion_angle", "distortion_threshold", "find_admissible_scale",
+        "global_distortion", "local_distortion", "threshold_angle",
+        "bilip_constant", "fractional_admissible_scale", "substitute",
+        "flow", "MinimizeConfig", "minimize_symmetric", "mobius_energy",
+        "mobius_gradient", "torus_knot", "detect_concentrations",
+        "pipeline"}
 
 
 def test_traced_layers_resolve():

@@ -1,14 +1,16 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotgauge.curve import (PAIR_BLOCK, Curve, CurveError, EmbeddingError,
-                             circle, hausdorff_distance, load_curve,
-                             param_distance, point_to_polyline_distance,
-                             resample_arclength, save_curve)
+from knotgauge.curve import (COINCIDENCE_TOL, PAIR_BLOCK, Curve, CurveError,
+                             EmbeddingError, circle, hausdorff_distance,
+                             load_curve, param_distance,
+                             point_to_polyline_distance, resample_arclength,
+                             save_curve)
 from knotgauge.mobius import torus_knot
 from knotgauge.sobolev import seminorm_sq
 from util import (dense_hausdorff_distance, dense_point_to_polyline_distance,
@@ -73,6 +75,114 @@ def test_chord_matrix_short_last_block():
     q = c.samples
     ref = np.linalg.norm(q[:, None, :] - q[None, :, :], axis=2)
     assert np.allclose(c.chord_matrix(), ref, rtol=1e-15, atol=0.0)
+
+
+def _brute_embedded(c):
+    """Reference verdict: every non-adjacent pair, its chord taken by
+    ``np.linalg.norm``."""
+    q, n = c.samples, c.n
+    tol = COINCIDENCE_TOL * c.total_length()
+    for i in range(n - 2):
+        d = np.linalg.norm(q[i + 2:] - q[i], axis=1)
+        if i == 0:
+            d = d[:-1]  # (0, N-1) is an edge
+        if np.any(d <= tol):
+            return False
+    return True
+
+
+def _placements(n):
+    """Non-adjacent coincident pairs: from the first row to the middle,
+    inside the first row block, inside the short last block, from the last
+    row of one block to the first row of a later one, and from the first
+    row of a block to the last vertex."""
+    rows = PAIR_BLOCK // n
+    return [(0, n // 2), (1, 5), (n - 5, n - 2), (rows - 1, 2 * rows),
+            (rows, n - 1)]
+
+
+class TestChordBuild:
+    @pytest.mark.parametrize("n", [257, 2049])
+    def test_verdict_matches_brute_force(self, n):
+        rng = np.random.default_rng(n)
+        base = rng.normal(size=(n, 3))
+        assert n % (PAIR_BLOCK // n) == 5  # the last row block is short
+        for i, j in _placements(n):
+            q = base.copy()
+            q[j] = q[i]
+            tol = COINCIDENCE_TOL * Curve(q).total_length()
+            unit = rng.normal(size=3)
+            unit /= np.linalg.norm(unit)
+            for offset, embedded in ((0.0, False), (0.5, False),
+                                     (2.0, True)):
+                q[j] = q[i] + offset * tol * unit
+                c = Curve(q)
+                assert _brute_embedded(c) is embedded, (i, j, offset)
+                if embedded:
+                    c.check_embedded()
+                else:
+                    with pytest.raises(EmbeddingError):
+                        c.check_embedded()
+
+    @pytest.mark.parametrize("n", [257, 2049])
+    def test_close_edges_stay_embedded(self, n):
+        # adjacent vertices closer than the tolerance, one pair across the
+        # wrap (0, N-1), one at the end of the first row block
+        q = circle(n).samples.copy()
+        rows = PAIR_BLOCK // n
+        tol = COINCIDENCE_TOL * Curve(q).total_length()
+        q[n - 1] = q[0] + [0.0, 0.0, 0.1 * tol]
+        q[rows] = q[rows - 1] + [0.0, 0.0, 0.1 * tol]
+        c = Curve(q)
+        assert _brute_embedded(c)
+        c.check_embedded()
+
+    @pytest.mark.parametrize("maker", [
+        lambda: circle(8),
+        lambda: Curve(np.random.default_rng(3).normal(size=(257, 3))),
+        lambda: Curve(np.random.default_rng(4).normal(size=(2049, 3))),
+        lambda: torus_knot(2, 3, n=1024),
+    ])
+    def test_diameter_is_matrix_max(self, maker):
+        # asked before and after the matrix, on fresh curves
+        first, second = maker(), maker()
+        d = first.diameter()
+        assert d == float(np.max(first.chord_matrix()))
+        second.chord_matrix()
+        assert second.diameter() == d
+
+    def test_chord_rows(self):
+        c = Curve(np.random.default_rng(9).normal(size=(257, 3)))
+        chord = c.chord_matrix()
+        idx = np.array([3, 7, 100, 256])
+        cols = np.array([0, 5, 200])
+        for got, want in ((c.chord_rows(slice(60, 130)), chord[60:130]),
+                          (c.chord_rows(idx), chord[idx]),
+                          (c.chord_rows(idx, cols), chord[np.ix_(idx, cols)])):
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+
+    def test_window_read_gathers_no_full_rows(self):
+        c = torus_knot(2, 3, n=2048)
+        c.chord_matrix()
+        idx = np.arange(100, 400)
+        tracemalloc.start()
+        try:
+            c.chord_rows(idx, idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the block is 0.7 MB; its 300 full rows would take 4.9 MB
+        assert peak < 1 << 20
+
+    def test_chord_rows_refuses_non_embedded(self):
+        q = circle(64).samples.copy()
+        q[40] = q[10]
+        c = Curve(q)
+        for args in ((slice(0, 8),), (np.arange(3),),
+                     (np.arange(3), np.arange(3))):
+            with pytest.raises(EmbeddingError):
+                c.chord_rows(*args)
 
 
 class TestIntrinsicDistance:

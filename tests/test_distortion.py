@@ -10,8 +10,8 @@ from knotgauge.distortion import (G_INF, arc_chord_ratio, certify_equivalence,
                                   distortion_threshold, find_admissible_scale,
                                   global_distortion, local_distortion,
                                   scale_ladder, threshold_angle)
-from knotgauge.mobius import mobius_energy
-from knotgauge.sobolev import bilip_constant
+from knotgauge.mobius import mobius_energy, mobius_gradient, torus_knot
+from knotgauge.sobolev import bilip_constant, fractional_admissible_scale
 from util import rigid_moved, torus_knot_raw
 
 G3 = distortion_threshold(3)
@@ -191,6 +191,34 @@ class TestLocalDistortion:
                 local_distortion(trefoil512, r)[0], abs=1e-12)
 
 
+def _figure_eight(n=512):
+    """Two unit circles touching at the origin, where vertices 0 and n/2
+    both lie; the tangent is continuous, so the seminorm scale search finds
+    a radius."""
+    th = 2.0 * np.pi * np.arange(n // 2) / (n // 2)
+    zero = np.zeros_like(th)
+    return Curve(np.concatenate([
+        np.stack([1.0 - np.cos(th), np.sin(th), zero], axis=1),
+        np.stack([np.cos(th) - 1.0, np.sin(th), zero], axis=1)]))
+
+
+@pytest.mark.parametrize("scan", [
+    lambda c: local_distortion(c, 0.5), global_distortion, bilip_constant,
+    mobius_energy, mobius_gradient, fractional_admissible_scale])
+def test_pair_scans_refuse_figure_eight(scan):
+    c = _figure_eight()
+    assert np.array_equal(c.samples[0], c.samples[c.n // 2])
+    with pytest.raises(EmbeddingError):
+        scan(c)
+
+
+@pytest.mark.parametrize("r", [math.nan, 0.0, -1.0])
+def test_local_distortion_names_bad_scale(r):
+    msg = rf"scale r must be positive \(got {r}\)"
+    with pytest.raises(ValueError, match=msg):
+        local_distortion(torus_knot(2, 3, n=256), r)
+
+
 class TestAdmissibleScale:
     def test_returned_scale_qualifies(self, trefoil512):
         r = find_admissible_scale(trefoil512, G3)
@@ -236,6 +264,17 @@ class TestCertificate:
         # delta1 = 1.289, above g3 = 1.209
         with pytest.raises(ValueError, match=r"margin must be finite and >= 0"):
             certify_equivalence(circle(256), circle(256), margin=margin)
+
+    @pytest.mark.parametrize("threshold, margin", [
+        (None, 0.5), (1.2, 0.2), (2.0, 1e-3)])
+    def test_names_threshold_and_margin(self, threshold, margin):
+        thr = distortion_threshold(3) if threshold is None else threshold
+        with pytest.raises(ValueError) as exc:
+            certify_equivalence(circle(64), circle(64), threshold=threshold,
+                                margin=margin)
+        assert str(exc.value) == (
+            f"threshold - margin must lie in (1, pi/2) (got {thr} - "
+            f"{margin} = {thr - margin})")
 
     def test_reports_edge_range(self, trefoil512, circle512):
         cert = certify_equivalence(trefoil512, circle512).to_dict()
