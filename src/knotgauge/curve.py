@@ -203,14 +203,16 @@ class Curve:
         if not self._chords()[1]:
             raise EmbeddingError("not embedded: non-adjacent samples coincide")
 
-    def intrinsic_rows(self, rows):
+    def intrinsic_rows(self, rows, cols=None):
         """Rows ``rows`` (a slice or index array) of :meth:`intrinsic_matrix`,
+        or with ``cols`` (the same) its block ``np.ix_(rows, cols)``,
         computed alone as a fresh array, so that a caller scanning the pairs
         once needs no N x N array.
         """
         s = self.cum_lengths()[:-1]
-        d = np.abs(s[rows, None] - s[None, :])
-        return np.minimum(d, self.total_length() - d)
+        d = np.subtract.outer(s[rows], s if cols is None else s[cols])
+        np.abs(d, out=d)
+        return np.minimum(d, self.total_length() - d, out=d)
 
     def intrinsic_matrix(self):
         """N x N matrix of shorter-arc lengths between all sample pairs."""

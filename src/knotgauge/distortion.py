@@ -24,6 +24,10 @@ G_INF = math.pi / math.sqrt(8.0)
 #: number of rungs in every scale ladder
 LADDER_SIZE = 40
 
+#: chord buckets of the pair table's filter; at N=2048 256 and 1024 build
+#: the table alike, and 4096 already costs more than it filters out
+_CHORD_BUCKETS = 1024
+
 
 def distortion_threshold(n):
     """Dimensional distortion threshold, strictly decreasing to pi/sqrt(8).
@@ -117,21 +121,53 @@ def _pair_table(c):
     scale r is then the last entry with chord <= 2r.  The ratios are read
     row by row through :meth:`~knotgauge.curve.Curve.chord_rows` and
     :meth:`~knotgauge.curve.Curve.intrinsic_rows`, so the build does not
-    make the curve hold its N x N intrinsic matrix.  Building costs
-    O(N^2 log N) time, in row blocks of small temporaries, and the table
-    itself is short (93 entries for a trefoil at N=2048).  Raises
+    make the curve hold its N x N intrinsic matrix.
+
+    One pass over the row blocks merges each block into the table of the
+    rows before it.  A pair whose ratio is below that of a pair with a
+    smaller chord never becomes the running maximum, so it is dropped
+    before any sort.  ``best_below[k]`` holds the best ratio among the
+    pairs kept so far whose chord bucket ``int(chord * scale)``, with
+    scale = ``_CHORD_BUCKETS``/diameter, is below k; that index is
+    monotone in the chord, so each of those pairs has a smaller chord than
+    any pair in bucket k.  A block's pairs are filtered against the rows
+    before them, counted, and filtered again against each other; ties are
+    kept for the lexicographic tie-break.  Building costs O(N^2) filtering in row blocks of small
+    temporaries plus a sort of the survivors: about 80K of the 2.1M pairs
+    of a trefoil at N=2048, whose table holds 92 entries, but every pair
+    of a circle, whose ratio grows with the chord.  Raises
     :class:`~knotgauge.curve.EmbeddingError` on coincident samples.
     """
     n = c.n
-    cols = np.arange(n)
-    parts = []
+    scale = _CHORD_BUCKETS / c.diameter()
+    table = (np.empty(0), np.empty(0), np.empty(0, dtype=np.intp))
+    best_below = np.full(_CHORD_BUCKETS + 2, -np.inf)
     for b in row_blocks(n):
-        flat = np.flatnonzero(cols > cols[b, None])
-        lengths = c.chord_rows(b).ravel()[flat]
-        ratios = c.intrinsic_rows(b).ravel()[flat] / lengths
-        parts.append(_state_changes(lengths, ratios, flat + b.start * n, n))
-    lengths, ratios, flat = _state_changes(
-        *(np.concatenate(p) for p in zip(*parts)), n)
+        # columns right of the block's first row hold all its pairs i < j
+        lo = b.start + 1
+        chords = c.chord_rows(b)
+        lengths = chords[:, lo:]
+        # the diagonal's 0/0 is NaN, which no comparison keeps
+        with np.errstate(invalid="ignore"):
+            ratios = c.intrinsic_rows(b, slice(lo, n)) / lengths
+        buckets = (lengths * scale).astype(np.intp)
+        flat = np.flatnonzero(ratios >= best_below[buckets])
+        # block row and matrix column of each survivor, kept when i < j
+        row = flat // (n - lo)
+        col = flat - row * (n - lo) + lo
+        keep = col > row + b.start
+        flat = flat[keep]
+        local = row[keep] * n + col[keep]
+        # count the survivors, then drop those that others among them beat
+        r, k = ratios.ravel()[flat], buckets.ravel()[flat]
+        np.maximum.at(best_below, k + 1, r)
+        np.maximum.accumulate(best_below, out=best_below)
+        keep = r >= best_below[k]
+        local = local[keep]
+        table = _state_changes(
+            *(np.concatenate(p) for p in zip(table, (
+                chords.ravel()[local], r[keep], local + b.start * n))), n)
+    lengths, ratios, flat = table
     return lengths, ratios, np.stack(np.divmod(flat, n), axis=1)
 
 
@@ -142,9 +178,10 @@ def local_distortion(c, r):
     returns 1.0 with pair None when no pair qualifies.  Ties resolve to the
     lexicographically smallest (i, j).
 
-    Reads the curve's pair table: the first call on a curve builds it in
-    O(N^2 log N) and caches it read-only with the curve, and every scale
-    after that costs one ``searchsorted``, O(log N).
+    Reads the curve's pair table: the first call on a curve builds it,
+    O(N^2) filtering plus a sort of the pairs that pass (see
+    :func:`_pair_table`), and caches it read-only with the curve, and every
+    scale after that costs one ``searchsorted``, O(log N).
     """
     if not r > 0:
         raise ValueError(f"scale r must be positive (got {r})")

@@ -344,7 +344,7 @@ def _verify(work, mod, centers, endpoints, theta, r, L, dirs):
     for (x, (xm, xp)) in zip(centers, endpoints):
         for lo, hi in (((x - r) % 1.0, xp), (xm, (x + r) % 1.0)):
             idx = np.flatnonzero(arc_window(n, lo, hi))
-            sub_d = mod.intrinsic_rows(idx)[:, idx]
+            sub_d = mod.intrinsic_rows(idx, idx)
             sub_c = mod.chord_rows(idx, idx)
             iu = np.triu_indices(idx.size, k=1)
             ratios = sub_d[iu] / sub_c[iu]

@@ -1,18 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from knotgauge.curve import Curve, EmbeddingError, circle
-from knotgauge.distortion import (G_INF, arc_chord_ratio, certify_equivalence,
-                                  distortion_angle, distortion_profile,
-                                  distortion_threshold, find_admissible_scale,
-                                  global_distortion, local_distortion,
-                                  scale_ladder, threshold_angle)
+from knotgauge.curve import Curve, EmbeddingError, circle, row_blocks
+from knotgauge.distortion import (G_INF, _pair_table, arc_chord_ratio,
+                                  certify_equivalence, distortion_angle,
+                                  distortion_profile, distortion_threshold,
+                                  find_admissible_scale, global_distortion,
+                                  local_distortion, scale_ladder,
+                                  threshold_angle)
 from knotgauge.mobius import mobius_energy, mobius_gradient, torus_knot
 from knotgauge.sobolev import bilip_constant, fractional_admissible_scale
-from util import rigid_moved, torus_knot_raw
+from util import reference_pair_table, rigid_moved, torus_knot_raw
 
 G3 = distortion_threshold(3)
 
@@ -189,6 +191,73 @@ class TestLocalDistortion:
         for r in (0.3, 1.0):
             assert local_distortion(scaled, lam * r)[0] == pytest.approx(
                 local_distortion(trefoil512, r)[0], abs=1e-12)
+
+
+def _tiny_edge_trefoil():
+    """A (2,3) torus knot at N=256 with edge 0 split at 1e-6 of its length:
+    the same polygon with one more vertex, N=257."""
+    q = torus_knot(2, 3, n=256).samples
+    return Curve(np.insert(q, 1, q[0] + 1e-6 * (q[1] - q[0]), axis=0))
+
+
+def _lattice_square(side):
+    """The lattice square of the given side, started two steps before a
+    corner: pair (1, 3) reaches ratio sqrt(2) at chord sqrt(2), and pair
+    (0, 4) ties it exactly at chord 2 sqrt(2), which moves the argmax."""
+    return _lattice_polygon("rr" + "u" * side + "l" * side + "d" * side
+                            + "r" * (side - 2))
+
+
+class TestPairTable:
+    """The row-block build of the pair table against the one-shot
+    reference, on curves of several row blocks."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: torus_knot(2, 3, n=257),
+        lambda: torus_knot(3, 4, n=1000),
+        lambda: torus_knot(2, 5, n=2049),
+        _tiny_edge_trefoil,
+        lambda: Curve(np.random.default_rng(300).normal(size=(300, 3))),
+        # the last row block holds a single row
+        lambda: Curve(np.random.default_rng(181).normal(size=(181, 3))),
+        # exact ties within and across row blocks
+        lambda: _lattice_square(40),
+        lambda: _lattice_square(64),
+        # the ratio grows with the chord, so almost every pair passes the
+        # filter
+        lambda: circle(256),
+    ], ids=["torus23-257", "torus34-1000", "torus25-2049", "tiny-edge-257",
+            "random-300", "random-181", "square-40", "square-64",
+            "circle-256"])
+    def test_matches_reference(self, make):
+        c = make()
+        assert len(row_blocks(c.n)) > 1
+        ref = Curve(c.samples)
+        want = ref.cached("pair_table", lambda: reference_pair_table(ref))
+        got = c.cached("pair_table", lambda: _pair_table(c))
+        # every chord of either table, its neighbours, and one scale below
+        # and one above all chords: the table's first entry is the
+        # smallest chord of the curve
+        chords = np.concatenate([want[0], got[0]])
+        two_r = np.concatenate([
+            np.nextafter(chords, 0.0), chords, np.nextafter(chords, np.inf),
+            [want[0][0] / 2.0, 2.0 * c.diameter()]])
+        for r in two_r / 2.0:
+            assert local_distortion(c, r) == local_distortion(ref, r), r
+
+    def test_traced_peak(self):
+        c = torus_knot(2, 3, n=2048)
+        c.chord_matrix()
+        c.cum_lengths()
+        tracemalloc.start()
+        try:
+            _pair_table(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a row block's temporaries are 128 KB each; one array over the
+        # whole triangle would take 16 MB
+        assert peak < 4 * 2**20
 
 
 def _figure_eight(n=512):

@@ -3,6 +3,7 @@
 import numpy as np
 
 from knotgauge.curve import PAIR_BLOCK, Curve, resample_arclength
+from knotgauge.distortion import _state_changes
 
 
 def curve_from_angles(angles):
@@ -112,6 +113,23 @@ def fourier_curve(seed, n=512, modes=5, amp=0.25):
         coef = rng.normal(scale=amp / k**2, size=(2, 3))
         q += coef[0] * np.sin(k * t)[:, None] + coef[1] * np.cos(k * t)[:, None]
     return resample_arclength(Curve(q), n)
+
+
+# -- reference pair table ------------------------------------------------------
+# The one-shot build the row-block filter of knotgauge.distortion._pair_table
+# replaced, kept as the reference its answers must equal.
+
+
+def reference_pair_table(c):
+    """The pair table ``(chords, values, pairs)`` of ``c`` from one
+    ``_state_changes`` over every pair i < j, read from the dense
+    matrices."""
+    n = c.n
+    i, j = np.triu_indices(n, k=1)
+    lengths = c.chord_matrix()[i, j]
+    ratios = c.intrinsic_matrix()[i, j] / lengths
+    lengths, ratios, flat = _state_changes(lengths, ratios, i * n + j, n)
+    return lengths, ratios, np.stack(np.divmod(flat, n), axis=1)
 
 
 # -- dense reference energy and gradient ----------------------------------------
