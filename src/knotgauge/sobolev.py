@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curve import (WINDOW_SLACK, Curve, arc_window, pair_ratio_range,
+from .curve import (PAIR_BLOCK, WINDOW_SLACK, arc_window, pair_ratio_range,
                     param_distance, resample_arclength, row_blocks)
 from .distortion import LADDER_SIZE
 
@@ -36,7 +36,8 @@ class SeminormGrid(NamedTuple):
 
     ``density[i, j] = |u_i - u_j|^2 / |t_i - t_j|^2 * h^2`` off the excluded
     diagonal band; symmetric, zero on the band; ``total`` is the full double
-    sum.
+    sum.  Only the whole-circle total, ``--density`` and the concentration
+    pipeline read the full grid; a seminorm window computes its own block.
     """
     density: np.ndarray
     total: float
@@ -49,40 +50,81 @@ def tangent_density(c, band=DEFAULT_BAND):
 
 
 def _density(c, band):
-    u = c.tangents()
+    idx = np.arange(c.n)
+    dens = _density_rows(c, idx, idx, band)
+    return SeminormGrid(density=dens, total=float(dens.sum()))
+
+
+def _density_rows(c, rows, cols, band):
+    """Block ``np.ix_(rows, cols)`` of the seminorm density, as a fresh
+    array; ``rows`` and ``cols`` are index arrays, in any order, ``cols``
+    without repeats.
+
+    Fills the block a few rows at a time through two work arrays of about
+    ``PAIR_BLOCK`` entries each, as :meth:`~knotgauge.curve.Curve.chord_matrix`
+    fills chords; every entry equals the full grid's bit for bit.
+    """
     n = c.n
     h = 1.0 / n
     t = np.arange(n) * h
-    idx = np.arange(n)
-    dens = np.empty((n, n))
-    for b in row_blocks(n):
-        dt = np.abs(t[b, None] - t[None, :])
-        dt = np.minimum(dt, 1.0 - dt)
-        diff = u[b, None, :] - u[None, :, :]
-        du2 = np.einsum("ijk,ijk->ij", diff, diff)
-        sep = np.abs(idx[b, None] - idx[None, :])
-        sep = np.minimum(sep, n - sep)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dens[b] = np.where(sep > band, du2 / (dt * dt) * h * h, 0.0)
-    return SeminormGrid(density=dens, total=float(dens.sum()))
+    tr, tc = t[rows], t[cols]
+    # one contiguous row per coordinate
+    ur, uc = (np.ascontiguousarray(c.tangents()[ix].T) for ix in (rows, cols))
+    out = np.empty((len(rows), len(cols)))
+    step = max(1, PAIR_BLOCK // len(cols))
+    work = np.empty((2, min(step, len(rows)), len(cols)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, len(rows), step):
+            b = slice(lo, lo + step)
+            ob = out[b]
+            d, e = work[:, :ob.shape[0]]
+            # |u_i - u_j|^2 summed as (dx^2 + dz^2) + dy^2, the order of an
+            # einsum over the (rows, N, 3) differences, so the entries and
+            # the reports built on them stay the same bit for bit
+            np.square(np.subtract.outer(ur[0, b], uc[0], out=d), out=ob)
+            ob += np.square(np.subtract.outer(ur[2, b], uc[2], out=d), out=d)
+            ob += np.square(np.subtract.outer(ur[1, b], uc[1], out=d), out=d)
+            np.abs(np.subtract.outer(tr[b], tc, out=d), out=d)
+            np.minimum(d, np.subtract(1.0, d, out=e), out=d)
+            ob /= np.square(d, out=d)
+            ob *= h
+            ob *= h
+    # zero the band |i - j| <= band (cyclically), which holds the diagonal's
+    # 0/0, by index: pos maps a sample to its column in the block
+    pos = np.full(n, -1)
+    pos[cols] = np.arange(len(cols))
+    at = np.arange(len(rows))
+    for s in range(-band, band + 1):
+        j = pos[(rows + s) % n]
+        hit = j >= 0
+        out[at[hit], j[hit]] = 0.0
+    return out
 
 
 def seminorm_sq(c, window=None, band=DEFAULT_BAND):
     """Squared seminorm restricted to a parameter window.
 
-    ``window`` is a boolean sample mask, as built by
+    ``window`` is a boolean sample mask of length N, as built by
     :func:`~knotgauge.curve.param_window` or
-    :func:`~knotgauge.curve.arc_window`; ``None`` is the whole circle.
-    Sums the density over pairs with both samples inside the window;
-    windows holding fewer than two samples give 0 with a warning.
+    :func:`~knotgauge.curve.arc_window`; ``None`` is the whole circle, the
+    cached grid's total.  A window sums its own m x m block of the density,
+    pairs with both samples inside it, computed by the grid's kernel in one
+    ``.sum()``; it neither builds nor keeps the N x N grid.  Windows holding
+    fewer than two samples give 0 with a warning; anything but a boolean
+    mask of length N raises :class:`ValueError`.
     """
-    grid = tangent_density(c, band)
     if window is None:
-        return grid.total
-    if window.sum() < 2:
+        return tangent_density(c, band).total
+    window = np.asarray(window)
+    if window.dtype != bool or window.shape != (c.n,):
+        raise ValueError(
+            f"window must be a boolean mask of shape ({c.n},), got dtype "
+            f"{window.dtype} and shape {window.shape}")
+    idx = np.flatnonzero(window)
+    if idx.size < 2:
         warnings.warn("window holds fewer than two samples", stacklevel=2)
         return 0.0
-    return float(grid.density[np.ix_(window, window)].sum())
+    return float(_density_rows(c, idx, idx, band).sum())
 
 
 # -- bilipschitz bounds --------------------------------------------------------
@@ -105,14 +147,11 @@ def bilip_lower_bound(c, s, t):
     (only the unit-speed case is evaluated).  The windowed sum keeps *all*
     distinct sample pairs (band 0): excluding a band would bias the bound
     upward, the unsound direction for an inequality.  A negative bound is
-    vacuous and is returned as is.  The band-0 density is built on a
-    cache-free copy, so the caller's curve does not keep it.
+    vacuous and is returned as is.
     """
     e = c.edge_lengths()
     if (e.max() - e.min()) / e.mean() > 1e-9:
         c = resample_arclength(c, c.n)
-    else:
-        c = Curve(c.samples)
     i = c.index_of_param(s)
     j = c.index_of_param(t)
     dt = param_distance(i / c.n, j / c.n)
@@ -150,14 +189,18 @@ def ball_window_sums(density, k):
 
     ``k`` is one halfwidth, giving an (N,) array, or a sequence of them,
     giving one row per halfwidth.  One (N+1) x (N+1) summed-area table
-    (Crow 1984) is built per call and dropped on return; a window that
-    wraps around 0 is split into at most two index intervals, so each
-    center costs O(1) and each halfwidth O(N) after the O(N^2) table.  The
-    sums agree with direct summation to a few ulps of the total mass.
+    (Crow 1984) is built per call and dropped on return: running sums of
+    the density's rows, one contiguous row add each (the additions of a
+    cumulative sum down the columns, in the same order), then a cumulative
+    sum along each row.  A window that wraps around 0 is split into at
+    most two index intervals, so each center costs O(1) and each halfwidth
+    O(N) after the O(N^2) table.  The sums agree with direct summation to
+    a few ulps of the total mass.
     """
     n = density.shape[0]
     table = np.zeros((n + 1, n + 1))
-    np.cumsum(density, axis=0, out=table[1:, 1:])
+    for i in range(n):
+        np.add(table[i, 1:], density[i], out=table[i + 1, 1:])
     np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
 
     def block(a, b, c, d):

@@ -6,11 +6,13 @@ import pytest
 
 from knotgauge.curve import Curve, circle, param_window, resample_arclength
 from knotgauge.distortion import local_distortion
-from knotgauge.sobolev import (ConcentratedSeminormError, ball_halfwidth,
+from knotgauge.sobolev import (DEFAULT_BAND, ConcentratedSeminormError,
+                               _density_rows, ball_halfwidth,
                                ball_window_sums, bilip_constant,
                                bilip_lower_bound, fractional_admissible_scale,
                                seminorm_sq, tangent_density)
-from util import rigid_moved, torus_knot_raw, track_curve
+from util import (reference_density, reference_window_sums, rigid_moved,
+                  torus_knot_raw, track_curve)
 
 # full-domain squared seminorm of the unit-speed circle computed by the same
 # quadrature at N=8192 (refinement oracle; continuum value 30.5443)
@@ -42,6 +44,18 @@ class TestSeminorm:
             v = seminorm_sq(circle512,
                             param_window(512, 0.25, 0.1, inner=0.999 * 0.1))
         assert v == 0.0
+
+    def test_index_window_rejected(self, circle512):
+        # an index array is not read as a mask of its nonzero entries
+        with pytest.raises(ValueError,
+                           match=r"dtype int\d+ and shape \(50,\)"):
+            seminorm_sq(circle512, np.arange(50))
+
+    def test_wrong_length_mask_rejected(self, circle512):
+        with pytest.raises(ValueError,
+                           match=r"shape \(512,\), got dtype bool and "
+                                 r"shape \(511,\)"):
+            seminorm_sq(circle512, np.ones(511, dtype=bool))
 
     def test_additive_over_disjoint_windows(self, circle512):
         full = seminorm_sq(circle512)
@@ -96,6 +110,60 @@ class TestSeminorm:
                     <= 1e-12 * total
 
 
+def _noisy_trefoil(n):
+    """An arclength (2,3) torus knot with 1e-3 noise on every sample, so its
+    edges are no longer uniform."""
+    q = torus_knot_raw(2, 3, n=n).samples
+    return Curve(q + 1e-3 * np.random.default_rng(n).normal(size=q.shape))
+
+
+def _tiny_edge_trefoil(n):
+    """An arclength (2,3) torus knot at N-1 samples with edge 0 split at
+    1e-6 of its length: N samples."""
+    q = torus_knot_raw(2, 3, n=n - 1).samples
+    return Curve(np.insert(q, 1, q[0] + 1e-6 * (q[1] - q[0]), axis=0))
+
+
+class TestDensityKernel:
+    @pytest.mark.parametrize("n", [64, 101, 257, 2047, 2048])
+    @pytest.mark.parametrize("band", [0, 2])
+    @pytest.mark.parametrize("make", [_noisy_trefoil, _tiny_edge_trefoil])
+    def test_matches_reference(self, n, band, make):
+        ref = reference_density(make(n), band)
+        grid = tangent_density(make(n), band)
+        assert np.array_equal(grid.density, ref)
+        assert grid.total == float(ref.sum())
+
+        # windows read on a fresh curve compute their own blocks
+        c = make(n)
+        thin = 2.5 / n
+        windows = [param_window(n, 0.0, 0.1),             # wraps 0
+                   param_window(n, 0.97, 0.25),           # wraps 0
+                   param_window(n, 0.0, 0.2, inner=0.2 - thin),
+                   param_window(n, 0.6, 0.05, inner=0.05 - thin),
+                   param_window(n, 0.3, 0.5)]             # whole circle
+        for w in windows:
+            assert seminorm_sq(c, w, band) == float(ref[np.ix_(w, w)].sum())
+        assert ("tangent_density", band) not in c._cache
+
+        ks = [0, 1, 4, n // 3, (n - 1) // 2]
+        assert np.array_equal(ball_window_sums(ref, ks),
+                              reference_window_sums(ref, ks))
+
+        # the wrapped, unsorted index blocks of offdiag_window_mass, and
+        # blocks of scattered samples
+        rng = np.random.default_rng(band)
+        blocks = [(np.arange(i - k, i + k + 1) % n,
+                   np.arange(j - k, j + k + 1) % n)
+                  for i, j, k in ((0, n // 2, 4), (n - 2, 3, 4),
+                                  (n // 3, n - 1, n // 8))]
+        blocks.append((rng.permutation(n)[:40], rng.permutation(n)[:30]))
+        for rows, cols in blocks:
+            block = _density_rows(c, rows, cols, band)
+            assert np.array_equal(block, ref[np.ix_(rows, cols)])
+            assert block.sum() == ref[np.ix_(rows, cols)].sum()
+
+
 class TestDensityCache:
     def test_second_call_same_grid(self):
         c = circle(64)
@@ -130,6 +198,33 @@ class TestDensityCache:
         detect_concentrations(c)
         assert builds == [2]
 
+    def test_window_builds_no_grid(self):
+        # the N x N density of a 2048-gon alone takes 32 MB
+        c = circle(2048)
+        window = param_window(c.n, 0.25, 0.1)
+        tracemalloc.start()
+        try:
+            seminorm_sq(c, window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ("tangent_density", DEFAULT_BAND) not in c._cache
+        assert peak < 4 << 20
+
+    def test_substitute_builds_no_grid(self, monkeypatch):
+        import knotgauge.sobolev as sobolev
+        from knotgauge.substitution import substitute
+        density, calls = sobolev.tangent_density, []
+
+        def counted(c, band=DEFAULT_BAND):
+            calls.append(band)
+            return density(c, band)
+
+        monkeypatch.setattr(sobolev, "tangent_density", counted)
+        c, x = track_curve(n=2048, seed=3)
+        assert substitute(c, [x], r=0.05).all_pass
+        assert calls == []
+
 
 class TestBilipBound:
     def test_straight_segment_equality(self):
@@ -158,10 +253,11 @@ class TestBilipBound:
         tracemalloc.start()
         try:
             bilip_lower_bound(c, 0.1, 0.12)
-            retained = tracemalloc.get_traced_memory()[0]
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert retained < 4 << 20
+        # the peak bounds the memory retained as well
+        assert peak < 4 << 20
 
     def test_negative_bound_returned(self, circle512):
         res = bilip_lower_bound(circle512, 0.0, 0.5)

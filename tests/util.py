@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from knotgauge.curve import PAIR_BLOCK, Curve, resample_arclength
+from knotgauge.curve import PAIR_BLOCK, Curve, resample_arclength, row_blocks
 from knotgauge.distortion import _state_changes
 
 
@@ -262,3 +262,59 @@ def dense_hausdorff_distance(a, b):
     """Vertex-to-polyline Hausdorff distance through the dense reference."""
     return max(float(dense_point_to_polyline_distance(a.samples, b).max()),
                float(dense_point_to_polyline_distance(b.samples, a).max()))
+
+
+# -- reference seminorm density and window sums ---------------------------------
+# The einsum build of the density and the column-cumsum summed-area table that
+# the block kernel of knotgauge.sobolev replaced, kept as the references its
+# answers must equal bit for bit.
+
+
+def reference_density(c, band):
+    """The N x N seminorm density of ``c`` off the cyclic band |i - j| <=
+    ``band``, each row block summed by einsum and cut by an integer
+    separation matrix."""
+    u = c.tangents()
+    n = c.n
+    h = 1.0 / n
+    t = np.arange(n) * h
+    idx = np.arange(n)
+    dens = np.empty((n, n))
+    for b in row_blocks(n):
+        dt = np.abs(t[b, None] - t[None, :])
+        dt = np.minimum(dt, 1.0 - dt)
+        diff = u[b, None, :] - u[None, :, :]
+        du2 = np.einsum("ijk,ijk->ij", diff, diff)
+        sep = np.abs(idx[b, None] - idx[None, :])
+        sep = np.minimum(sep, n - sep)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dens[b] = np.where(sep > band, du2 / (dt * dt) * h * h, 0.0)
+    return dens
+
+
+def reference_window_sums(density, k):
+    """Density mass of every center's window of halfwidth ``k`` (or of each
+    halfwidth in a sequence), from a summed-area table built by two
+    ``np.cumsum`` passes, down the columns first."""
+    n = density.shape[0]
+    table = np.zeros((n + 1, n + 1))
+    np.cumsum(density, axis=0, out=table[1:, 1:])
+    np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
+
+    def block(a, b, c, d):
+        return table[b, d] - table[a, d] - table[b, c] + table[a, c]
+
+    centers = np.arange(n)
+    ks = np.atleast_1d(k)
+    sums = np.empty((ks.size, n))
+    for row, kk in zip(sums, ks):
+        if 2 * kk + 1 >= n:
+            row[:] = table[n, n]
+            continue
+        lo, hi = centers - kk, centers + kk + 1
+        a1, b1 = np.maximum(lo, 0), np.minimum(hi, n)
+        a2 = np.where(lo < 0, lo + n, 0)
+        b2 = np.where(lo < 0, n, np.maximum(hi - n, 0))
+        row[:] = (block(a1, b1, a1, b1) + block(a1, b1, a2, b2)
+                  + block(a2, b2, a1, b1) + block(a2, b2, a2, b2))
+    return sums[0] if np.ndim(k) == 0 else sums
