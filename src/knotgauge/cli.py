@@ -54,6 +54,18 @@ def _report_header(args, inputs):
     }
 
 
+def _comma_list(option, form, text, kind=float):
+    """The values of a comma-list option, read by ``kind``; a ``form`` with
+    no ``...`` fixes their count.  Raises ValueError naming the option."""
+    try:
+        values = [kind(v) for v in text.split(",") if v]
+        if "..." in form or len(values) == form.count(",") + 1:
+            return values
+    except ValueError:
+        pass
+    raise ValueError(f"{option} must be {form}, got {text!r}")
+
+
 def _write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -121,8 +133,8 @@ def _cmd_certify(args):
 
 
 def _cmd_substitute(args):
+    centers = _comma_list("--center", "t1,t2,...", args.center)
     c = load_curve(args.curve)
-    centers = [float(v) for v in args.center.split(",") if v]
     theta = None if args.theta == "auto" else float(args.theta)
     rep = substitute(c, centers, theta=theta, r=args.r)
     if args.out:
@@ -149,10 +161,8 @@ def _cmd_substitute(args):
 
 
 def _cmd_flow(args):
+    seed_pt = np.array(_comma_list("--seed", "x,y,z", args.seed_point))
     c = load_curve(args.curve)
-    seed_pt = np.array([float(v) for v in args.seed_point.split(",")])
-    if seed_pt.shape != (3,):
-        raise FlowError("--seed must be x,y,z")
     trace = flow(c, seed_pt, args.dir, args.rM, args.rho, delta=args.delta,
                  steps=args.steps)
     if args.trace:
@@ -169,8 +179,8 @@ def _cmd_flow(args):
 
 
 def _cmd_minimize(args):
-    a, b = (int(v) for v in args.torus.split(","))
-    cfg = MinimizeConfig(torus=(a, b), p=args.p, m=args.m, n=args.n,
+    torus = tuple(_comma_list("--torus", "a,b", args.torus, int))
+    cfg = MinimizeConfig(torus=torus, p=args.p, m=args.m, n=args.n,
                          steps=args.steps)
     res = minimize_symmetric(cfg)
     final = res.final

@@ -22,9 +22,9 @@ import numpy as np
 
 from .curve import Curve, param_distance, param_window
 from .distortion import LADDER_SIZE, certify_equivalence, local_distortion
-from .sobolev import (ball_halfwidth, ball_window_sums,
-                      bilip_constant, seminorm_sq, tangent_density,
-                      ConcentratedSeminormError, fractional_admissible_scale)
+from .sobolev import (DEFAULT_BAND, ConcentratedSeminormError, _density_rows,
+                      ball_halfwidth, ball_window_sums, bilip_constant,
+                      fractional_admissible_scale, seminorm_sq, tangent_density)
 from .substitution import _substitute, theta4
 
 #: concentration mass quantum: 2/3 - 6/pi^2 (makes 1/sqrt(1 - 3 eps/2) = pi/3)
@@ -114,11 +114,9 @@ def _coalesce(flagged, masses, n, gap):
 
 def offdiag_window_mass(c, i, j, r):
     """Seminorm mass of B_r(t_i) x B_r(t_j); decays like r^2 off-diagonal."""
-    n = c.n
-    k = ball_halfwidth(r, n)
-    rows = (np.arange(i - k, i + k + 1)) % n
-    cols = (np.arange(j - k, j + k + 1)) % n
-    return float(tangent_density(c).density[np.ix_(rows, cols)].sum())
+    k = ball_halfwidth(r, c.n)
+    rows, cols = (np.arange(a - k, a + k + 1) % c.n for a in (i, j))
+    return float(_density_rows(c, rows, cols, DEFAULT_BAND).sum())
 
 
 # -- working-scale selection -------------------------------------------------------

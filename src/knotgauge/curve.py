@@ -440,7 +440,9 @@ def save_curve(c, path):
                 w.writerow([repr(float(v)) for v in row])
     else:
         with open(path, "w") as fh:
-            json.dump({"closed": True, "samples": c.samples.tolist()}, fh)
+            # one dumps, which runs the C encoder that dump does not
+            fh.write(json.dumps({"closed": True,
+                                 "samples": c.samples.tolist()}))
 
 
 def load_curve(path):

@@ -288,8 +288,8 @@ def certify_equivalence(a, b, threshold=None, margin=1e-3):
     """Run the sufficient equivalence test on two sampled knots.
 
     Searches each curve for the largest admissible scale with local
-    distortion below ``threshold - margin`` (the margin absorbs the O(1/N)
-    underestimate of the discrete supremum), then demands that the Hausdorff
+    distortion below ``threshold - margin`` (a heuristic allowance for the
+    vertex sampling, not a bound), then demands that the Hausdorff
     distance be below a quarter of the smaller scale.  The certificate also
     carries each curve's shortest and longest edge.  Raises ValueError
     unless ``margin`` is finite and >= 0 (a negative margin would certify

@@ -28,6 +28,10 @@ THETA1 = 144.0 ** -4
 #: slack absorbing grid and floating-point error in verified inequalities
 VERIFY_SLACK = 1e-9
 
+#: the verified bounds of a substitution report, in report order
+FLAGS = ("linf", "window_distortion", "intrinsic", "length", "bilip",
+         "nu_delta", "difference_quotients")
+
 
 def theta3(L):
     """Smallness ceiling for bilipschitz control at measured constant L."""
@@ -94,12 +98,7 @@ def mean_direction(c, x, r, theta):
     if not sem < theta:
         raise SubstitutionError(
             f"annulus seminorm {sem:.3e} not below theta {theta:.3e} at x={x}")
-    return _mean_direction_raw(c, x, r, theta, sem)
-
-
-def _mean_direction_raw(c, x, r, theta, sem):
-    m = param_window(c.n, x, r)
-    u = c.tangents()[m]
+    u = c.tangents()[param_window(c.n, x, r)]
     mean = u.mean(axis=0)
     norm = float(np.linalg.norm(mean))
     if norm == 0.0:
@@ -278,8 +277,7 @@ def _substitute(work, L, centers, theta, r):
     n = work.n
     dirs, endpoints = [], []
     for x in centers:
-        sem = seminorm_sq(work, param_window(n, x, r, inner=theta * r))
-        md = _mean_direction_raw(work, x, r, theta, sem)
+        md = mean_direction(work, x, r, theta)
         gs = good_sets(excess_field(work, x, r, md.nu), theta)
         dirs.append(md)
         endpoints.append((_nearest_good(gs.g_minus, x - r / 2.0, n),
@@ -295,10 +293,7 @@ def _trivial_report(c, theta, r, L):
         bilip_original=L, bilip_modified=L, linf_distance=0.0,
         window_distortions=[], intrinsic_ratio_min=1.0,
         intrinsic_ratio_max=1.0, length_ratio=1.0, nu_delta_gaps=[],
-        annulus_seminorms=[],
-        flags={"linf": True, "window_distortion": True, "intrinsic": True,
-               "length": True, "bilip": True, "nu_delta": True,
-               "difference_quotients": True})
+        annulus_seminorms=[], flags=dict.fromkeys(FLAGS, True))
 
 
 def _nearest_good(candidates, target, n):
@@ -311,9 +306,10 @@ def _nearest_good(candidates, target, n):
 
 
 def _signed_offset(t, base):
-    """Signed wrapped parameter offset of t from base, in (-1/2, 1/2]."""
+    """Signed wrapped parameter offset of t (scalar or array) from base, in
+    (-1/2, 1/2]."""
     d = wrap01(t - base)
-    return d if d <= 0.5 else d - 1.0
+    return np.where(d <= 0.5, d, d - 1.0)
 
 
 def _build_modified(work, endpoints):
@@ -339,18 +335,11 @@ def _verify(work, mod, centers, endpoints, theta, r, L, dirs):
     linf = float(np.max(np.linalg.norm(work.samples - mod.samples, axis=1)))
     linf_ok = linf < 6.0 * t8 * r + VERIFY_SLACK
 
-    window_distortions = []
-    wd_ok = True
-    for (x, (xm, xp)) in zip(centers, endpoints):
-        for lo, hi in (((x - r) % 1.0, xp), (xm, (x + r) % 1.0)):
-            idx = np.flatnonzero(arc_window(n, lo, hi))
-            sub_d = mod.intrinsic_rows(idx, idx)
-            sub_c = mod.chord_rows(idx, idx)
-            iu = np.triu_indices(idx.size, k=1)
-            ratios = sub_d[iu] / sub_c[iu]
-            v = float(ratios.max()) if ratios.size else 1.0
-            window_distortions.append(v)
-            wd_ok = wd_ok and v < 1.0 + 4.0 * t4 + VERIFY_SLACK
+    window_distortions = [
+        _window_distortion(mod, np.flatnonzero(arc_window(n, lo, hi)))
+        for x, (xm, xp) in zip(centers, endpoints)
+        for lo, hi in (((x - r) % 1.0, xp), (xm, (x + r) % 1.0))]
+    wd_ok = all(v < 1.0 + 4.0 * t4 + VERIFY_SLACK for v in window_distortions)
 
     ratio_min, ratio_max = pair_ratio_range(mod.intrinsic_rows,
                                             work.intrinsic_rows, n)
@@ -365,7 +354,6 @@ def _verify(work, mod, centers, endpoints, theta, r, L, dirs):
     bilip_ok = bilip_mod <= 2.0 * L + VERIFY_SLACK
 
     nu_delta_gaps = []
-    nd_ok = True
     dq_ok = True
     for (x, (xm, xp)), md in zip(zip(centers, endpoints), dirs):
         im, ip = work.index_of_param(xm), work.index_of_param(xp)
@@ -373,19 +361,12 @@ def _verify(work, mod, centers, endpoints, theta, r, L, dirs):
         delta = (work.samples[ip] - work.samples[im]) / span
         gap = float(np.sum((md.nu - delta) ** 2))
         nu_delta_gaps.append(gap)
-        nd_ok = nd_ok and gap <= 4.0 * t4 + VERIFY_SLACK
         dq_ok = dq_ok and _difference_quotients_ok(
             work, x, r, md.nu, (im, ip), theta)
+    nd_ok = all(g <= 4.0 * t4 + VERIFY_SLACK for g in nu_delta_gaps)
 
-    flags = {
-        "linf": bool(linf_ok),
-        "window_distortion": bool(wd_ok),
-        "intrinsic": bool(intrinsic_ok),
-        "length": bool(length_ok),
-        "bilip": bool(bilip_ok),
-        "nu_delta": bool(nd_ok),
-        "difference_quotients": bool(dq_ok),
-    }
+    flags = dict(zip(FLAGS, map(bool, (linf_ok, wd_ok, intrinsic_ok,
+                                       length_ok, bilip_ok, nd_ok, dq_ok))))
     return SubstitutionReport(
         original=work, modified=mod, centers=list(centers),
         endpoints=list(endpoints), theta=theta, r=r, bilip_original=L,
@@ -396,16 +377,24 @@ def _verify(work, mod, centers, endpoints, theta, r, L, dirs):
         annulus_seminorms=[md.annulus_seminorm for md in dirs], flags=flags)
 
 
+def _window_distortion(c, idx):
+    """Largest intrinsic/chord ratio over the pairs of samples ``idx`` of
+    ``c``; 1.0 for fewer than two samples."""
+    if idx.size < 2:
+        return 1.0
+    return pair_ratio_range(lambda b: c.intrinsic_rows(idx[b], idx),
+                            lambda b: c.chord_rows(idx[b], idx), idx.size)[1]
+
+
 def _difference_quotients_ok(work, x, r, nu, endpoint_idx, theta):
     """Difference quotients anchored at chosen endpoints stay close to nu."""
     t4 = theta ** 0.25
     t8 = theta ** 0.125
     n = work.n
     ball = np.flatnonzero(param_window(n, x, r))
-    t = np.arange(n) / n
     for i0 in endpoint_idx:
         rest = ball[ball != i0]
-        dt = np.array([_signed_offset(t[j], t[i0]) for j in rest])
+        dt = _signed_offset(rest / n, i0 / n)
         quot = (work.samples[rest] - work.samples[i0]) / dt[:, None]
         proj = quot @ nu
         if np.any(proj > 1.0 + VERIFY_SLACK):

@@ -135,6 +135,12 @@ class TestSubstitute:
                    "--r", "0.05"])
         assert rc == 1
 
+    def test_bad_center_named(self, circle_file, capsys):
+        rc = main(["substitute", circle_file, "--center", "a", "--r", "0.05"])
+        assert rc == 1
+        assert ("error: --center must be t1,t2,..., got 'a'"
+                in capsys.readouterr().err)
+
 
 class TestFlow:
     def test_trace_csv(self, trefoil_file, tmp_path):
@@ -156,6 +162,13 @@ class TestFlow:
         dists = [float(r[4]) for r in rows[1:]]
         assert dists[-1] >= dists[0] - 1e-6
 
+    def test_bad_seed_named(self, trefoil_file, capsys):
+        rc = main(["flow", trefoil_file, "--seed=a,b,c", "--dir", "inc",
+                   "--rM", "0.1", "--rho", "0.01"])
+        assert rc == 1
+        assert ("error: --seed must be x,y,z, got 'a,b,c'"
+                in capsys.readouterr().err)
+
     def test_nan_scale_refused(self, trefoil_file, capsys):
         rc = main(["flow", trefoil_file, "--seed", "0,0,3", "--dir", "inc",
                    "--rM", "nan", "--rho", "0.01"])
@@ -165,6 +178,12 @@ class TestFlow:
 
 
 class TestMinimize:
+    def test_bad_torus_named(self, capsys):
+        rc = main(["minimize", "--torus", "2", "--p", "3"])
+        assert rc == 1
+        assert ("error: --torus must be a,b, got '2'"
+                in capsys.readouterr().err)
+
     def test_zero_steps_echo(self, tmp_path, capsys):
         log = tmp_path / "energy.csv"
         rc = main(["minimize", "--torus", "2,3", "--p", "3", "--m", "2",

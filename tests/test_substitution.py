@@ -1,13 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
-from knotgauge.curve import Curve, circle
+from knotgauge.curve import Curve, arc_window, circle
 from knotgauge.sobolev import bilip_constant
-from knotgauge.substitution import (THETA1, SubstitutionError,
+from knotgauge.substitution import (THETA1, GoodSetError, SubstitutionError,
+                                    _signed_offset, _window_distortion,
                                     excess_field, good_sets, mean_direction,
                                     substitute, theta3, theta4,
                                     weak_type_check)
-from util import fourier_curve, track_curve
+from util import fourier_curve, kinked_track, track_curve
 
 
 def test_threshold_ordering():
@@ -144,11 +147,25 @@ class TestSubstitute:
         with pytest.raises(SubstitutionError, match="ceiling"):
             substitute(c, [x], theta=1e-6, r=0.04)
 
-    def test_good_set_failure_names_center(self, circle512):
-        # a circle window is never straight enough at tiny theta
+    def test_annulus_gate_on_every_path(self, circle512):
+        # a circle window is never straight enough at tiny theta: the
+        # substitution stops at the mean-direction hypothesis, before the
+        # good-set gate
         L = bilip_constant(circle512)
-        with pytest.raises(SubstitutionError, match="no good endpoints"):
+        with pytest.raises(SubstitutionError, match="annulus seminorm"):
             substitute(circle512, [0.25], theta=theta3(L) / 2, r=0.05)
+
+    def test_good_set_failure_names_center(self):
+        # the kink leaves the annulus seminorm at 0, so the hypothesis
+        # holds, but it tilts the mean direction away from every tangent
+        c, _, x = kinked_track(n=1024)
+        work = Curve(c.samples / c.total_length())
+        theta = theta3(bilip_constant(work)) / 2
+        assert mean_direction(work, x, 0.05, theta).annulus_seminorm == 0.0
+        with pytest.raises(GoodSetError,
+                           match=re.escape(f"no good endpoints at this scale "
+                                           f"(x={x},")):
+            substitute(c, [x], r=0.05)
 
     def test_seeded_reproducibility(self):
         c, x = track_curve(n=1024, seed=2)
@@ -184,3 +201,31 @@ class TestSubstitute:
         lo = 1 - 2 * theta ** 0.125 - 1e-6
         assert np.all(e >= lo)
         assert np.all(e <= 1 + 1e-6)
+
+
+def test_signed_offset_array_matches_scalar_rule():
+    rng = np.random.default_rng(3)
+    t = np.concatenate([rng.uniform(-1.0, 2.0, 200),
+                        [0.0, 0.25, 0.5, 0.75, 1.0]])
+    for base in (0.0, 0.25, 0.5, 0.9, rng.uniform()):
+        got = _signed_offset(t, base)
+        for ti, g in zip(t, got):
+            d = (ti - base) - np.floor(ti - base)
+            assert g == (d if d <= 0.5 else d - 1.0)
+        assert np.all((got > -0.5) & (got <= 0.5))
+
+
+@pytest.mark.parametrize("idx", [
+    [], [7], [7, 8], [7, 200], list(range(20, 60)),
+    "wrapped",  # the shorter arc from 0.9 to 0.1, across 0
+])
+def test_window_distortion_matches_dense_reference(idx):
+    c = fourier_curve(5, n=256)
+    if idx == "wrapped":
+        idx = np.flatnonzero(arc_window(c.n, 0.9, 0.1))
+    idx = np.asarray(idx, dtype=int)
+    block = np.ix_(idx, idx)
+    iu = np.triu_indices(idx.size, k=1)
+    ratios = c.intrinsic_matrix()[block][iu] / c.chord_matrix()[block][iu]
+    want = float(ratios.max()) if ratios.size else 1.0
+    assert _window_distortion(c, idx) == want
