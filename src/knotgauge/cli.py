@@ -54,12 +54,12 @@ def _report_header(args, inputs):
     }
 
 
-def _comma_list(option, form, text, kind=float):
-    """The values of a comma-list option, read by ``kind``; a ``form`` with
-    no ``...`` fixes their count.  Raises ValueError naming the option."""
+def _comma_list(option, form, text, count=None, kind=float):
+    """The values of a comma-list option, read by ``kind``; ``count`` values
+    if given.  Raises ValueError naming the option and its ``form``."""
     try:
         values = [kind(v) for v in text.split(",") if v]
-        if "..." in form or len(values) == form.count(",") + 1:
+        if count is None or len(values) == count:
             return values
     except ValueError:
         pass
@@ -161,7 +161,7 @@ def _cmd_substitute(args):
 
 
 def _cmd_flow(args):
-    seed_pt = np.array(_comma_list("--seed", "x,y,z", args.seed_point))
+    seed_pt = np.array(_comma_list("--seed", "x,y,z", args.seed_point, 3))
     c = load_curve(args.curve)
     trace = flow(c, seed_pt, args.dir, args.rM, args.rho, delta=args.delta,
                  steps=args.steps)
@@ -179,7 +179,7 @@ def _cmd_flow(args):
 
 
 def _cmd_minimize(args):
-    torus = tuple(_comma_list("--torus", "a,b", args.torus, int))
+    torus = tuple(_comma_list("--torus", "a,b", args.torus, 2, int))
     cfg = MinimizeConfig(torus=torus, p=args.p, m=args.m, n=args.n,
                          steps=args.steps)
     res = minimize_symmetric(cfg)

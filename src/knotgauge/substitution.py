@@ -306,8 +306,7 @@ def _nearest_good(candidates, target, n):
 
 
 def _signed_offset(t, base):
-    """Signed wrapped parameter offset of t (scalar or array) from base, in
-    (-1/2, 1/2]."""
+    """Signed wrapped parameter offsets of t from base, in (-1/2, 1/2]."""
     d = wrap01(t - base)
     return np.where(d <= 0.5, d, d - 1.0)
 
@@ -365,8 +364,15 @@ def _verify(work, mod, centers, endpoints, theta, r, L, dirs):
             work, x, r, md.nu, (im, ip), theta)
     nd_ok = all(g <= 4.0 * t4 + VERIFY_SLACK for g in nu_delta_gaps)
 
-    flags = dict(zip(FLAGS, map(bool, (linf_ok, wd_ok, intrinsic_ok,
-                                       length_ok, bilip_ok, nd_ok, dq_ok))))
+    flags = {
+        "linf": bool(linf_ok),
+        "window_distortion": bool(wd_ok),
+        "intrinsic": bool(intrinsic_ok),
+        "length": bool(length_ok),
+        "bilip": bool(bilip_ok),
+        "nu_delta": bool(nd_ok),
+        "difference_quotients": bool(dq_ok),
+    }
     return SubstitutionReport(
         original=work, modified=mod, centers=list(centers),
         endpoints=list(endpoints), theta=theta, r=r, bilip_original=L,

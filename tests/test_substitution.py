@@ -5,7 +5,8 @@ import pytest
 
 from knotgauge.curve import Curve, arc_window, circle
 from knotgauge.sobolev import bilip_constant
-from knotgauge.substitution import (THETA1, GoodSetError, SubstitutionError,
+from knotgauge.substitution import (FLAGS, THETA1, GoodSetError,
+                                    SubstitutionError,
                                     _signed_offset, _window_distortion,
                                     excess_field, good_sets, mean_direction,
                                     substitute, theta3, theta4,
@@ -107,6 +108,7 @@ class TestSubstitute:
         rep = substitute(trefoil512, [], theta=1e-9, r=0.01)
         assert rep.modified is trefoil512
         assert rep.all_pass
+        assert tuple(rep.flags) == FLAGS
 
     def test_radius_required(self, trefoil512):
         with pytest.raises(TypeError):
@@ -118,6 +120,7 @@ class TestSubstitute:
         theta = theta3(L) / 2
         rep = substitute(c, [x], theta=theta, r=0.05)
         assert rep.all_pass, rep.flags
+        assert tuple(rep.flags) == FLAGS
         assert rep.linf_distance < 6 * theta ** 0.125 * 0.05
         assert all(v < 1 + 4 * theta ** 0.25 for v in rep.window_distortions)
         assert rep.intrinsic_ratio_max <= 1 + 1e-9

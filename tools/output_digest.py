@@ -4,10 +4,9 @@
     python3 tools/output_digest.py --src ../other-checkout/src > before.txt
     diff before.txt after.txt
 
-Runs round 1 of seed 1 of every benchmark workload (or of those named) in
-process through ``knotgauge.cli.main(argv)``, imported from ``--src``.  The
-job inputs come from the generators in ``bench/``, which are only read.  The
-jobs run in one fixed work directory outside the repository, so that the
+Runs round 1 of seed 1 of every benchmark workload in process through
+``knotgauge.cli.main(argv)``, imported from ``--src``.  The job inputs come
+from the generators in ``bench/``, which are only read.  The jobs run in one fixed work directory outside the repository, so that the
 paths echoed in reports are the same from run to run; it must not exist
 beforehand and is removed at exit.  Prints one line per job step (its exit
 code and the sha256 of its stdout and stderr) and one per output file (its
@@ -74,8 +73,6 @@ def main(argv=None):
                     default=Path(tempfile.gettempdir()) / "knotgauge-digest",
                     help="fixed scratch directory for the job files "
                          "(default: %(default)s)")
-    ap.add_argument("workloads", nargs="*",
-                    help="workloads to run (default: all)")
     args = ap.parse_args(argv)
     src, workdir = args.src.resolve(), args.workdir.resolve()
     if workdir == ROOT or ROOT in workdir.parents:
@@ -87,13 +84,9 @@ def main(argv=None):
     cli = load_cli(src)
     sys.path.insert(0, str(ROOT / "bench"))
     from workloads import WORKLOADS
-    unknown = set(args.workloads) - set(WORKLOADS)
-    if unknown:
-        ap.error(f"unknown workloads {sorted(unknown)}; choose from "
-                 f"{', '.join(WORKLOADS)}")
     try:
-        for name in args.workloads or WORKLOADS:
-            for line in run_workload(cli, WORKLOADS[name], workdir / name):
+        for name, make in WORKLOADS.items():
+            for line in run_workload(cli, make, workdir / name):
                 print(line, flush=True)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
