@@ -9,7 +9,6 @@ profiles and traces CSV; identical inputs reproduce reports bit-for-bit.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .concentration import EPSILON, ConcentrationError, pipeline
-from .curve import CurveError, load_curve, save_curve
+from .curve import CurveError, load_curve, save_curve, write_csv
 from .distortion import (G_INF, certify_equivalence, distortion_profile,
                          distortion_threshold)
 from .flowfield import FlowError, flow
@@ -84,12 +83,10 @@ def _cmd_analyze(args):
         "global_pair": list(prof.global_pair) if prof.global_pair else None,
     })
     if args.profile:
-        with open(args.profile, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["r", "delta", "i", "j"])
-            for r, v, pair in zip(prof.scales, prof.values, prof.pairs):
-                i, j = pair if pair else (-1, -1)
-                w.writerow([repr(float(r)), repr(float(v)), i, j])
+        write_csv(args.profile, ["r", "delta", "i", "j"],
+                  ([float(r), float(v), *(pair or (-1, -1))]
+                   for r, v, pair in zip(prof.scales, prof.values,
+                                         prof.pairs)))
     if args.seminorm:
         report["seminorm_sq"] = seminorm_sq(c)
         try:
@@ -101,13 +98,10 @@ def _cmd_analyze(args):
             report["r_gamma"] = None
             report["seminorm_note"] = str(exc)
     if args.density:
-        with open(args.density, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["i", "j", "value"])
-            density = tangent_density(c).density
-            ii, jj = np.nonzero(density)
-            for i, j in zip(ii, jj):
-                w.writerow([int(i), int(j), repr(float(density[i, j]))])
+        density = tangent_density(c).density
+        ii, jj = np.nonzero(density)
+        write_csv(args.density, ["i", "j", "value"],
+                  zip(ii.tolist(), jj.tolist(), density[ii, jj].tolist()))
     if args.out:
         _write_json(args.out, report)
     print(f"n={c.n} length={c.total_length():.6g} "
@@ -166,12 +160,8 @@ def _cmd_flow(args):
     trace = flow(c, seed_pt, args.dir, args.rM, args.rho, delta=args.delta,
                  steps=args.steps)
     if args.trace:
-        with open(args.trace, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "x", "y", "z", "dist"])
-            for t, y, d in zip(trace.times, trace.states, trace.distances):
-                w.writerow([repr(float(t))] + [repr(float(v)) for v in y]
-                           + [repr(float(d))])
+        write_csv(args.trace, ["t", "x", "y", "z", "dist"], np.column_stack(
+            [trace.times, trace.states, trace.distances]).tolist())
     mono = trace.monotone()
     print(f"dir={args.dir} d0={trace.distances[0]:.6g} "
           f"d1={trace.distances[-1]:.6g} monotone={mono}")
@@ -187,12 +177,9 @@ def _cmd_minimize(args):
     if args.out:
         save_curve(res.curve, args.out)
     if args.log:
-        with open(args.log, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["iter", "energy", "residual", "bilip", "step"])
-            for s in res.states:
-                w.writerow([s.iteration, repr(s.energy), repr(s.residual),
-                            repr(s.bilip), repr(s.step)])
+        write_csv(args.log, ["iter", "energy", "residual", "bilip", "step"],
+                  ([s.iteration, s.energy, s.residual, s.bilip, s.step]
+                   for s in res.states))
     print(f"status={res.status} iterations={final.iteration} "
           f"energy={final.energy:.8f} residual={final.residual:.3e}")
     return 0 if res.status == "ok" else 1

@@ -70,7 +70,7 @@ def detect_concentrations(c):
     grid = tangent_density(c)
     n = c.n
     k = DETECT_HALFWIDTH
-    masses = ball_window_sums(grid.density, k)
+    masses = ball_window_sums(grid.density, [k])[0]
     flagged = np.where(masses > EPSILON)[0]
     reps, members = _coalesce(flagged, masses, n, gap=2 * k)
     notes = []
@@ -233,8 +233,12 @@ def pipeline(c, p, reference=None):
     is returned at the input scale.  Without detections the input passes
     through unchanged.  With a reference curve (same sample count) the sup
     distance budget and the equivalence certificate against the reference
-    are evaluated as well.
+    are evaluated as well.  Raises :class:`ConcentrationError` unless the
+    symmetry order ``p`` is at least 1.
     """
+    if not p >= 1:
+        raise ConcentrationError(f"symmetry order p must be at least 1 "
+                                 f"(got {p})")
     length = c.total_length()
     work = Curve(c.samples / length)
     ref = None

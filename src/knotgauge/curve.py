@@ -68,6 +68,22 @@ def row_blocks(n):
     return [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
+def pair_sq_distances(rows, cols, out, work):
+    """Squared distances |p_i - q_j|^2 between the points p of ``rows`` and
+    q of ``cols``, each given as its three coordinate arrays (x, y, z),
+    written to ``out`` through ``work``, both of shape (len(p), len(q)).
+
+    Summed as (dx^2 + dz^2) + dy^2, the order of an einsum over the
+    (rows, cols, 3) differences, so every entry and the reports built on
+    them stay the same bit for bit.
+    """
+    (xr, yr, zr), (xc, yc, zc) = rows, cols
+    np.square(np.subtract.outer(xr, xc, out=work), out=out)
+    out += np.square(np.subtract.outer(zr, zc, out=work), out=work)
+    out += np.square(np.subtract.outer(yr, yc, out=work), out=work)
+    return out
+
+
 def pair_ratio_range(num_rows, den_rows, n):
     """Extrema of num/den over the pairs i != j (i < j for symmetric
     matrices) of two N x N matrices given by rows, ``num_rows(b)`` for each
@@ -228,9 +244,8 @@ class Curve:
         or with ``cols`` its block ``np.ix_(rows, cols)``, read-only: how
         every pair scan reads chords.  Raises :class:`EmbeddingError` on a
         curve that is not embedded."""
-        chord, embedded, _ = self._chords()
-        if not embedded:
-            raise EmbeddingError("not embedded: non-adjacent samples coincide")
+        self.check_embedded()
+        chord = self._cache["chords"][0]    # built by the check
         out = chord[rows] if cols is None else chord[np.ix_(rows, cols)]
         out.setflags(write=False)
         return out
@@ -239,20 +254,15 @@ class Curve:
         """N x N matrix of euclidean vertex distances (see :meth:`_chords`)."""
         def build():
             n = self.n
-            x, y, z = self._q.T
+            xyz = self._q.T
             tol = COINCIDENCE_TOL * self.total_length()
             m = np.empty((n, n))
             blocks = row_blocks(n)
             diff = np.empty((blocks[0].stop, n))
             embedded, diameter = True, -np.inf
             for b in blocks:
-                mb, db = m[b], diff[:b.stop - b.start]
-                # summed as (dx^2 + dz^2) + dy^2, the order of an einsum
-                # over the (rows, N, 3) differences, so every entry and the
-                # reports built on them stay the same bit for bit
-                np.square(np.subtract.outer(x[b], x, out=db), out=mb)
-                mb += np.square(np.subtract.outer(z[b], z, out=db), out=db)
-                mb += np.square(np.subtract.outer(y[b], y, out=db), out=db)
+                mb = m[b]
+                pair_sq_distances(xyz[:, b], xyz, mb, diff[:b.stop - b.start])
                 np.sqrt(mb, out=mb)
                 diameter = max(diameter, float(mb.max()))
                 close = mb <= tol
@@ -429,15 +439,21 @@ def circle(n, radius=1.0):
 
 # -- I/O -----------------------------------------------------------------------
 
+def write_csv(path, header, rows):
+    """Write the CSV file ``path``: the ``header`` row, then ``rows``.  Every
+    CSV the package writes goes through here; floats are written in their
+    shortest round-trip form, so they read back bit for bit."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def save_curve(c, path):
     """Write a curve as JSON (.json) or CSV with header x,y,z (.csv)."""
     ext = os.path.splitext(path)[1].lower()
     if ext == ".csv":
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "y", "z"])
-            for row in c.samples:
-                w.writerow([repr(float(v)) for v in row])
+        write_csv(path, ["x", "y", "z"], c.samples.tolist())
     else:
         with open(path, "w") as fh:
             # one dumps, which runs the C encoder that dump does not

@@ -11,7 +11,7 @@ scales, is certifiably of the same knot class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import brentq
@@ -273,15 +273,9 @@ class EquivalenceCertificate:
         self.verdict = "equivalent" if self.passed else "inconclusive"
 
     def to_dict(self):
-        return {
-            "r1": self.r1, "r2": self.r2,
-            "delta1": self.delta1, "delta2": self.delta2,
-            "hausdorff": self.hausdorff,
-            "min_edge1": self.min_edge1, "max_edge1": self.max_edge1,
-            "min_edge2": self.min_edge2, "max_edge2": self.max_edge2,
-            "threshold": self.threshold, "margin": self.margin,
-            "pass": self.passed, "verdict": self.verdict,
-        }
+        """The fields by name, ``passed`` written as ``pass``."""
+        return {("pass" if f.name == "passed" else f.name):
+                getattr(self, f.name) for f in fields(self)}
 
 
 def certify_equivalence(a, b, threshold=None, margin=1e-3):

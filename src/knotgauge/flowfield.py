@@ -93,7 +93,7 @@ def enclosing_ball(points):
     Incremental Welzl with explicit support-set circumspheres; scalar
     arithmetic since the point sets here are tiny.
     """
-    pts = [tuple(map(float, p)) for p in np.asarray(points, dtype=float)]
+    pts = np.asarray(points, dtype=float).tolist()
     center, r2 = pts[0], 0.0
     for i in range(1, len(pts)):
         p = pts[i]
@@ -164,13 +164,6 @@ def direction_set(m, x, epsilon, _d_x=None, _dist=None):
 def _cap_of(dirs):
     if len(dirs) == 1:
         return dirs[0].copy(), 0.0
-    if len(dirs) == 2:
-        mid = dirs[0] + dirs[1]
-        norm = np.linalg.norm(mid)
-        if norm < 1e-12:
-            return dirs[0].copy(), math.pi
-        center = mid / norm
-        return center, float(np.arccos(np.clip(dirs @ center, -1, 1)).max())
     center, _ = enclosing_ball(dirs)
     norm = np.linalg.norm(center)
     if norm < 1e-12:

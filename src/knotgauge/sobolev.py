@@ -18,7 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .curve import (PAIR_BLOCK, WINDOW_SLACK, arc_window, pair_ratio_range,
-                    param_distance, resample_arclength, row_blocks)
+                    pair_sq_distances, param_distance, resample_arclength,
+                    row_blocks)
 from .distortion import LADDER_SIZE
 
 DEFAULT_BAND = 2
@@ -61,8 +62,9 @@ def _density_rows(c, rows, cols, band):
     without repeats.
 
     Fills the block a few rows at a time through two work arrays of about
-    ``PAIR_BLOCK`` entries each, as :meth:`~knotgauge.curve.Curve.chord_matrix`
-    fills chords; every entry equals the full grid's bit for bit.
+    ``PAIR_BLOCK`` entries each, with the chord build's kernel
+    :func:`~knotgauge.curve.pair_sq_distances`; every entry equals the full
+    grid's bit for bit.
     """
     n = c.n
     h = 1.0 / n
@@ -78,12 +80,7 @@ def _density_rows(c, rows, cols, band):
             b = slice(lo, lo + step)
             ob = out[b]
             d, e = work[:, :ob.shape[0]]
-            # |u_i - u_j|^2 summed as (dx^2 + dz^2) + dy^2, the order of an
-            # einsum over the (rows, N, 3) differences, so the entries and
-            # the reports built on them stay the same bit for bit
-            np.square(np.subtract.outer(ur[0, b], uc[0], out=d), out=ob)
-            ob += np.square(np.subtract.outer(ur[2, b], uc[2], out=d), out=d)
-            ob += np.square(np.subtract.outer(ur[1, b], uc[1], out=d), out=d)
+            pair_sq_distances(ur[:, b], uc, ob, d)
             np.abs(np.subtract.outer(tr[b], tc, out=d), out=d)
             np.minimum(d, np.subtract(1.0, d, out=e), out=d)
             ob /= np.square(d, out=d)
@@ -184,10 +181,10 @@ def ball_halfwidth(r, n):
     return min(int(math.floor((r + WINDOW_SLACK) * n)), (n - 1) // 2)
 
 
-def ball_window_sums(density, k):
+def ball_window_sums(density, ks):
     """Density mass of B_{k*h}(x_i) x B_{k*h}(x_i) for every center i.
 
-    ``k`` is one halfwidth, giving an (N,) array, or a sequence of them,
+    ``ks`` is a sequence of halfwidths k (a list, even for one of them),
     giving one row per halfwidth.  One (N+1) x (N+1) summed-area table
     (Crow 1984) is built per call and dropped on return: running sums of
     the density's rows, one contiguous row add each (the additions of a
@@ -207,20 +204,19 @@ def ball_window_sums(density, k):
         return table[b, d] - table[a, d] - table[b, c] + table[a, c]
 
     centers = np.arange(n)
-    ks = np.atleast_1d(k)
-    sums = np.empty((ks.size, n))
-    for row, kk in zip(sums, ks):
-        if 2 * kk + 1 >= n:
+    sums = np.empty((len(ks), n))
+    for row, k in zip(sums, ks):
+        if 2 * k + 1 >= n:
             row[:] = table[n, n]
             continue
-        lo, hi = centers - kk, centers + kk + 1
+        lo, hi = centers - k, centers + k + 1
         # [a1, b1) inside [0, N), [a2, b2) the part wrapped around 0
         a1, b1 = np.maximum(lo, 0), np.minimum(hi, n)
         a2 = np.where(lo < 0, lo + n, 0)
         b2 = np.where(lo < 0, n, np.maximum(hi - n, 0))
         row[:] = (block(a1, b1, a1, b1) + block(a1, b1, a2, b2)
                   + block(a2, b2, a1, b1) + block(a2, b2, a2, b2))
-    return sums[0] if np.ndim(k) == 0 else sums
+    return sums
 
 
 # -- admissible scale from the seminorm ----------------------------------------

@@ -242,26 +242,26 @@ def substitute(c, centers, theta=None, *, r):
       ``[1 - 2 theta^(1/8), 1]``,
     * bilipschitz constant of the modified curve at most twice the original.
 
-    With an empty center list the input curve is returned unchanged.
+    With an empty center list the input curve is returned unchanged, once
+    ``r`` and ``theta`` pass the same checks.
     """
     scale = c.total_length()
     work = Curve(c.samples / scale)
     L = bilip_constant(work)
     if theta is None:
         theta = theta3(L) / 2.0
-    centers = [wrap01(x) for x in centers]
-    if not centers:
-        return _trivial_report(c, theta, r, L)
-    report = _substitute(work, L, centers, theta, r)
+    report = _substitute(work, L, [wrap01(x) for x in centers], theta, r)
     report.original = c
-    report.modified = Curve(report.modified.samples * scale)
+    report.modified = (Curve(report.modified.samples * scale)
+                       if report.centers else c)
     return report
 
 
 def _substitute(work, L, centers, theta, r):
-    """:func:`substitute` at nonempty wrapped ``centers`` on a unit-length
-    curve whose constant ``L`` the caller holds; the report's curves are in
-    ``work``'s units."""
+    """:func:`substitute` at wrapped ``centers`` on a unit-length curve
+    whose constant ``L`` the caller holds; the report's curves are in
+    ``work``'s units.  ``r`` and ``theta`` are checked even when no center
+    is given."""
     if not 0.0 < r < 0.25:
         raise SubstitutionError("substitution radius must lie in (0, 1/4)")
     for i, a in enumerate(centers):
@@ -273,6 +273,8 @@ def _substitute(work, L, centers, theta, r):
     if not theta <= t3:
         raise SubstitutionError(
             f"theta {theta:.3e} exceeds bilipschitz ceiling {t3:.3e} (L={L:.3f})")
+    if not centers:
+        return _trivial_report(work, theta, r, L)
 
     n = work.n
     dirs, endpoints = [], []

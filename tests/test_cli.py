@@ -14,7 +14,7 @@ from knotgauge.cli import main
 from knotgauge.curve import Curve, circle, load_curve, save_curve
 from knotgauge.mobius import (MinimizeConfig, minimize_symmetric,
                               mobius_energy, torus_knot)
-from util import track_curve
+from util import kinked_track, track_curve
 
 
 @pytest.fixture
@@ -135,6 +135,12 @@ class TestSubstitute:
                    "--r", "0.05"])
         assert rc == 1
 
+    def test_no_center_checks_radius(self, circle_file, capsys):
+        rc = main(["substitute", circle_file, "--center", ",", "--r", "-1"])
+        assert rc == 1
+        assert ("error: substitution radius must lie in (0, 1/4)"
+                in capsys.readouterr().err)
+
     def test_bad_center_named(self, circle_file, capsys):
         rc = main(["substitute", circle_file, "--center", "a", "--r", "0.05"])
         assert rc == 1
@@ -229,6 +235,15 @@ class TestConcentrate:
     def test_unknown_args(self):
         with pytest.raises(SystemExit):
             main(["concentrate", "--bogus"])
+
+    @pytest.mark.parametrize("p", ["0", "-1"])
+    def test_symmetry_order_below_one(self, tmp_path, capsys, p):
+        c, ref, _ = kinked_track(1024, chi=0.7)
+        src = tmp_path / "kinked.json"
+        save_curve(c, str(src))
+        assert main(["concentrate", str(src), "--p", p]) == 1
+        assert (f"error: symmetry order p must be at least 1 (got {p})"
+                in capsys.readouterr().err)
 
     def test_eps_option_removed(self, trefoil_file, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -106,6 +106,13 @@ class TestPipeline:
         assert rep.all_pass
         assert rep.certificate is not None and rep.certificate.passed
 
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_symmetry_order_below_one(self, p):
+        c, ref, _ = kinked_track(1024, chi=0.7)
+        with pytest.raises(ConcentrationError,
+                           match=rf"symmetry order p .*\(got {p}\)"):
+            pipeline(c, p=p, reference=ref)
+
     def test_reference_size_mismatch(self, trefoil512):
         from knotgauge.curve import circle
         with pytest.raises(ConcentrationError, match="sample count"):

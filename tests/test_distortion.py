@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -344,6 +345,14 @@ class TestCertificate:
         assert str(exc.value) == (
             f"threshold - margin must lie in (1, pi/2) (got {thr} - "
             f"{margin} = {thr - margin})")
+
+    def test_dict_keys_are_fields(self, trefoil512, circle512):
+        cert = certify_equivalence(trefoil512, circle512)
+        names = [f.name for f in dataclasses.fields(cert)]
+        assert names.count("passed") == 1
+        d = cert.to_dict()
+        assert set(d) == {"pass" if k == "passed" else k for k in names}
+        assert d["pass"] is cert.passed and d["verdict"] == cert.verdict
 
     def test_reports_edge_range(self, trefoil512, circle512):
         cert = certify_equivalence(trefoil512, circle512).to_dict()

@@ -7,9 +7,9 @@ from knotgauge.curve import circle
 from knotgauge.distortion import (distortion_angle, distortion_threshold,
                                   find_admissible_scale, local_distortion,
                                   threshold_angle)
-from knotgauge.flowfield import (FlowError, direction_set, direction_set_auto,
-                                 enclosing_ball, flow, geodesic_cap_radius,
-                                 vector_field)
+from knotgauge.flowfield import (FlowError, _cap_of, direction_set,
+                                 direction_set_auto, enclosing_ball, flow,
+                                 geodesic_cap_radius, vector_field)
 from util import rigid_moved, torus_knot_raw
 
 G3 = distortion_threshold(3)
@@ -44,6 +44,28 @@ class TestEnclosingBall:
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         _, radius = enclosing_ball(pts)
         assert radius <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_two_direction_cap(self, seed):
+        # the bisector and half the angle, bit for bit, for random pairs,
+        # close pairs and nearly antipodal pairs at least 1e-6 apart
+        rng = np.random.default_rng(seed)
+        unit = lambda v: v / np.linalg.norm(v)
+        for _ in range(200):
+            d0 = unit(rng.normal(size=3))
+            d1 = unit(rng.choice([1.0, -1.0]) * d0
+                      + 10.0 ** rng.uniform(-5, 0) * rng.normal(size=3))
+            if np.linalg.norm(d1 - d0) < 1e-6:
+                continue
+            dirs = np.array([d0, d1])
+            center, radius = _cap_of(dirs)
+            mid = d0 + d1
+            want = mid / np.linalg.norm(mid)
+            assert np.array_equal(center, want)
+            assert radius == float(
+                np.arccos(np.clip(dirs @ want, -1.0, 1.0)).max())
+            half = math.atan2(np.linalg.norm(d1 - d0), np.linalg.norm(mid))
+            assert radius == pytest.approx(half, abs=1e-7)
 
 
 class TestDirectionSet:

@@ -73,7 +73,7 @@ class TestSeminorm:
 
     def test_window_sums_match_masks(self, circle512):
         grid = tangent_density(circle512)
-        sums = ball_window_sums(grid.density, 10)
+        sums = ball_window_sums(grid.density, [10])[0]
         m = np.zeros(512, dtype=bool)
         m[512 - 10:] = True
         m[:11] = True
@@ -103,7 +103,8 @@ class TestSeminorm:
         ks = [0, 1, 4, n // 3, (n - 1) // 2]
         sums = ball_window_sums(density, ks)
         for k, row in zip(ks, sums):
-            np.testing.assert_array_equal(row, ball_window_sums(density, k))
+            np.testing.assert_array_equal(row,
+                                          ball_window_sums(density, [k])[0])
             for i in range(n):
                 w = np.arange(i - k, i + k + 1) % n
                 assert abs(row[i] - density[np.ix_(w, w)].sum()) \

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -105,10 +106,19 @@ class TestWeakType:
 
 class TestSubstitute:
     def test_empty_centers_identity(self, trefoil512):
-        rep = substitute(trefoil512, [], theta=1e-9, r=0.01)
+        rep = substitute(trefoil512, [], r=0.01)
         assert rep.modified is trefoil512
         assert rep.all_pass
         assert tuple(rep.flags) == FLAGS
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"r": -1.0}, "radius"), ({"r": math.nan}, "radius"),
+        ({"r": 0.05, "theta": 0.5}, "ceiling"),
+        ({"r": 0.05, "theta": math.nan}, "ceiling")],
+        ids=["r=-1", "r=nan", "theta=0.5", "theta=nan"])
+    def test_empty_centers_check_r_and_theta(self, kwargs, match):
+        with pytest.raises(SubstitutionError, match=match):
+            substitute(circle(256), [], **kwargs)
 
     def test_radius_required(self, trefoil512):
         with pytest.raises(TypeError):
