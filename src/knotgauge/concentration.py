@@ -72,7 +72,7 @@ def detect_concentrations(c):
     k = DETECT_HALFWIDTH
     masses = ball_window_sums(grid.density, [k])[0]
     flagged = np.where(masses > EPSILON)[0]
-    reps, members = _coalesce(flagged, masses, n, gap=2 * k)
+    reps = _coalesce(flagged, n, gap=2 * k)
     notes = []
     r = k / n
     for a_i, i in enumerate(reps):
@@ -86,7 +86,7 @@ def detect_concentrations(c):
     det = Detection(halfwidth=k, indices=reps,
                     params=[i / n for i in reps],
                     rep_masses=[float(masses[i]) for i in reps],
-                    cluster_members=members, sample_masses=masses,
+                    cluster_members=flagged, sample_masses=masses,
                     total_mass=grid.total, warnings=notes)
     if len(det.indices) > det.cardinality_bound:
         raise ConcentrationError(
@@ -95,10 +95,10 @@ def detect_concentrations(c):
     return det
 
 
-def _coalesce(flagged, masses, n, gap):
-    """Group flagged indices into circular clusters and pick run centers."""
+def _coalesce(flagged, n, gap):
+    """Group flagged indices into circular clusters; return the run centers."""
     if flagged.size == 0:
-        return [], flagged
+        return []
     breaks = np.where(np.diff(flagged) > gap)[0]
     runs = np.split(flagged, breaks + 1)
     # wrap-around: merge first and last run when they touch across 0
@@ -109,7 +109,7 @@ def _coalesce(flagged, masses, n, gap):
     for run in runs:
         mid = int(round(run.mean())) % n
         reps.append(mid)
-    return reps, flagged
+    return reps
 
 
 def offdiag_window_mass(c, i, j, r):
@@ -188,7 +188,7 @@ def _annulus_prefix_scale(c, centers, ladder, theta):
 
 def _uniform_smallness_radius(c, detection, ladder):
     dens = tangent_density(c).density.copy()
-    members = detection.cluster_members % c.n
+    members = detection.cluster_members
     dens[members, :] = 0.0
     dens[:, members] = 0.0
     worst = ball_window_sums(

@@ -56,9 +56,9 @@ def wrap01(s):
 
 
 def param_distance(s, t):
-    """Periodic distance |s - t| on R/Z, always in [0, 1/2]."""
-    d = abs(wrap01(s) - wrap01(t))
-    return min(d, 1.0 - d)
+    """Periodic distance |s - t| on R/Z (scalars or arrays), in [0, 1/2]."""
+    d = np.abs(wrap01(s) - wrap01(t))
+    return np.minimum(d, 1.0 - d)
 
 
 def row_blocks(n):
@@ -103,8 +103,7 @@ def param_window(n, x, r, inner=None):
     Sample i belongs when its periodic distance to x is at most
     ``r + WINDOW_SLACK`` and, with ``inner`` given, above ``inner``.
     """
-    d = np.abs(np.arange(n) / n - wrap01(x))
-    d = np.minimum(d, 1.0 - d)
+    d = param_distance(np.arange(n) / n, x)
     mask = d <= r + WINDOW_SLACK
     if inner is not None:
         mask &= d > inner

@@ -231,18 +231,15 @@ def distortion_profile(c):
 
 
 def find_admissible_scale(c, threshold):
-    """Largest ladder scale at which local distortion stays below threshold.
+    """Largest :func:`distortion_profile` scale with distortion below threshold.
 
     Returns None when no rung qualifies.
     """
     if not 1.0 < threshold < math.pi / 2.0:
         raise ValueError(f"threshold must lie in (1, pi/2) (got {threshold})")
-    scales = scale_ladder(c)
-    for r in scales[::-1]:
-        v, _ = local_distortion(c, r)
-        if v < threshold:
-            return float(r)
-    return None
+    prof = distortion_profile(c)
+    below = np.flatnonzero(prof.values < threshold)
+    return float(prof.scales[below[-1]]) if below.size else None
 
 
 # -- equivalence certificate -----------------------------------------------

@@ -178,8 +178,6 @@ def direction_set_auto(m, x, alpha, _d_x=None):
     diameter drops below alpha."""
     x = np.asarray(x, dtype=float)
     d_x = point_to_polyline_distance(x, m) if _d_x is None else _d_x
-    if d_x <= 0.0:
-        raise FlowError("base point lies on the curve")
     dist = np.linalg.norm(m.samples - x, axis=1)
     eps = 0.25
     ds = direction_set(m, x, eps, _d_x=d_x, _dist=dist)

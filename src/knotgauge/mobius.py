@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curve import Curve, CurveError, resample_arclength, row_blocks
-from .distortion import certify_equivalence, distortion_threshold
+from .distortion import certify_equivalence
 from .sobolev import bilip_constant
 
 
@@ -242,12 +242,20 @@ class MinimizeConfig:
         return self.n + (-self.n) % self.p
 
     def build_initial(self):
+        """The initial curve; a torus class (a, b) must have the symmetry
+        (p divides b, m = a mod p), or orbit averaging leaves its class."""
         n = self.effective_n()
         if self.initial is not None:
             return resample_arclength(self.initial, n)
         if self.torus is None:
             raise ValueError("config needs either a torus class or a curve")
         a, b = self.torus
+        if b % self.p or (self.m - a) % self.p:
+            need = ("p must divide b" if b % self.p else
+                    f"the multiplier must be m = {a % self.p} (a mod p)")
+            raise ValueError(
+                f"torus class ({a}, {b}) lacks the symmetry of order "
+                f"p = {self.p} with multiplier m = {self.m}: {need}")
         return torus_knot(a, b, n=n)
 
 
@@ -284,7 +292,6 @@ def minimize_symmetric(cfg):
     states = [_state(0, cur, energy, 0.0, 0.0, spec)]
     certificates = []
     checkpoint = cur
-    g3 = distortion_threshold(3)
 
     for it in range(1, cfg.steps + 1):
         grad = mobius_gradient(cur)
@@ -315,7 +322,7 @@ def minimize_symmetric(cfg):
         cur, energy = trial, e_trial
         states.append(_state(it, cur, energy, step, gmax, spec))
         if it % CERTIFICATE_CADENCE == 0:
-            cert = certify_equivalence(checkpoint, cur, threshold=g3)
+            cert = certify_equivalence(checkpoint, cur)
             certificates.append((it, cert))
             if not cert.passed:
                 raise DescentAborted(

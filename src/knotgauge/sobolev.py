@@ -253,15 +253,12 @@ def fractional_admissible_scale(c):
     if rho is None:
         raise ConcentratedSeminormError(
             "seminorm too concentrated; use concentration pipeline")
-    t = np.arange(n) / n
+    t = c.params()
     sigma = math.inf
     for b in row_blocks(n):
-        chord = c.chord_rows(b)
-        dt = np.abs(t[b, None] - t[None, :])
-        dt = np.minimum(dt, 1.0 - dt)
-        far = dt >= 2.0 * rho
-        if np.any(far):
-            sigma = min(sigma, float(np.min(chord[far])))
+        far = param_distance(t[b, None], t) >= 2.0 * rho
+        sigma = min(sigma, float(np.min(c.chord_rows(b), where=far,
+                                        initial=math.inf)))
     if sigma == math.inf:
         raise ConcentratedSeminormError(
             "no pairs beyond 2*rho; curve too coarse for the scale search")

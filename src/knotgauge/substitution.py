@@ -206,7 +206,6 @@ class SubstitutionReport:
     All numeric fields are in unit-length normalized units; ``modified`` is
     returned at the input scale.
     """
-    original: Curve
     modified: Curve
     centers: list
     endpoints: list                  # [(x_minus, x_plus)] parameters
@@ -251,7 +250,6 @@ def substitute(c, centers, theta=None, *, r):
     if theta is None:
         theta = theta3(L) / 2.0
     report = _substitute(work, L, [wrap01(x) for x in centers], theta, r)
-    report.original = c
     report.modified = (Curve(report.modified.samples * scale)
                        if report.centers else c)
     return report
@@ -270,9 +268,10 @@ def _substitute(work, L, centers, theta, r):
                 raise SubstitutionError(
                     f"centers {a} and {b} separated by <= 2r")
     t3 = theta3(L)
-    if not theta <= t3:
+    if not 0.0 < theta <= t3:
         raise SubstitutionError(
-            f"theta {theta:.3e} exceeds bilipschitz ceiling {t3:.3e} (L={L:.3f})")
+            f"theta {theta:.3e} outside (0, bilipschitz ceiling {t3:.3e}] "
+            f"(L={L:.3f})")
     if not centers:
         return _trivial_report(work, theta, r, L)
 
@@ -291,7 +290,7 @@ def _substitute(work, L, centers, theta, r):
 
 def _trivial_report(c, theta, r, L):
     return SubstitutionReport(
-        original=c, modified=c, centers=[], endpoints=[], theta=theta, r=r,
+        modified=c, centers=[], endpoints=[], theta=theta, r=r,
         bilip_original=L, bilip_modified=L, linf_distance=0.0,
         window_distortions=[], intrinsic_ratio_min=1.0,
         intrinsic_ratio_max=1.0, length_ratio=1.0, nu_delta_gaps=[],
@@ -299,9 +298,7 @@ def _trivial_report(c, theta, r, L):
 
 
 def _nearest_good(candidates, target, n):
-    t = candidates / n
-    d = np.abs(t - wrap01(target))
-    d = np.minimum(d, 1.0 - d)
+    d = param_distance(candidates / n, target)
     best = d.min()
     tied = candidates[d <= best + 1e-15]
     return float(tied.min() / n)
@@ -376,7 +373,7 @@ def _verify(work, mod, centers, endpoints, theta, r, L, dirs):
         "difference_quotients": bool(dq_ok),
     }
     return SubstitutionReport(
-        original=work, modified=mod, centers=list(centers),
+        modified=mod, centers=list(centers),
         endpoints=list(endpoints), theta=theta, r=r, bilip_original=L,
         bilip_modified=bilip_mod, linf_distance=linf,
         window_distortions=window_distortions,

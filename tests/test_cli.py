@@ -141,6 +141,14 @@ class TestSubstitute:
         assert ("error: substitution radius must lie in (0, 1/4)"
                 in capsys.readouterr().err)
 
+    def test_nonpositive_theta_refused(self, circle_file, capsys):
+        rc = main(["substitute", circle_file, "--center", ",", "--r", "0.05",
+                   "--theta", "-1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: theta -1.000e+00 outside (0, ")
+        assert "ceiling" in err
+
     def test_bad_center_named(self, circle_file, capsys):
         rc = main(["substitute", circle_file, "--center", "a", "--r", "0.05"])
         assert rc == 1
@@ -189,6 +197,17 @@ class TestMinimize:
         assert rc == 1
         assert ("error: --torus must be a,b, got '2'"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv, need", [
+        (["--p", "3"], "multiplier m = 1: the multiplier must be m = 2"),
+        (["--p", "2", "--n", "96", "--steps", "3"],
+         "multiplier m = 1: p must divide b")], ids=["p=3", "p=2"])
+    def test_torus_class_lacking_symmetry(self, argv, need, capsys):
+        rc = main(["minimize", "--torus", "2,3", *argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: torus class (2, 3) lacks the symmetry")
+        assert need in err
 
     def test_zero_steps_echo(self, tmp_path, capsys):
         log = tmp_path / "energy.csv"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from knotgauge.concentration import (EPSILON, ConcentrationError,
-                                     detect_concentrations,
+                                     _coalesce, detect_concentrations,
                                      offdiag_window_mass, pipeline,
                                      select_scale)
 from knotgauge.curve import param_distance
@@ -73,6 +73,12 @@ class TestDetect:
             r = rng.uniform(2 / n, gap / 4)
             mass = offdiag_window_mass(c, int(i), int(j), r)
             assert mass <= 64 * r**2 / gap**2 + 1e-12
+
+
+def test_coalesce_merges_run_across_zero():
+    # 1022, 1023, 0, 1, 2 are one run through parameter 0
+    flagged = np.array([0, 1, 2, 500, 501, 502, 1022, 1023])
+    assert _coalesce(flagged, 1024, gap=8) == [0, 501]
 
 
 class TestSelectScale:

@@ -69,6 +69,13 @@ def test_param_distance_examples():
     assert param_distance(0.25, 0.75) == pytest.approx(0.5)
 
 
+def test_param_distance_arrays_match_scalars():
+    s, t = np.random.default_rng(3).uniform(-3.0, 3.0, size=(2, 64))
+    s[:4] = [0.0, -1e-20, 1.0, 2.5]
+    want = [[param_distance(float(a), float(b)) for b in t] for a in s]
+    assert np.array_equal(param_distance(s[:, None], t), want)
+
+
 def test_chord_matrix_short_last_block():
     # N = 257 leaves a last row block shorter than the others
     c = Curve(np.random.default_rng(8).normal(size=(257, 3)))

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -210,6 +211,18 @@ class TestMinimize:
         assert res.status == "ok"
         assert len(res.states) == 1
         assert res.final.iteration == 0
+
+    @pytest.mark.parametrize("p, m, need", [
+        (3, 1, "order p = 3 with multiplier m = 1: the multiplier must be "
+               "m = 2 (a mod p)"),
+        (2, 1, "order p = 2 with multiplier m = 1: p must divide b")],
+        ids=["p=3", "p=2"])
+    def test_torus_class_lacking_symmetry(self, p, m, need):
+        # orbit averaging onto a symmetry the class lacks collapses samples
+        # (p=3) or silently leaves the trefoil class (p=2)
+        cfg = MinimizeConfig(torus=(2, 3), p=p, m=m, n=96, steps=3)
+        with pytest.raises(ValueError, match=re.escape(need)):
+            minimize_symmetric(cfg)
 
     def test_short_trefoil_descent(self):
         cfg = MinimizeConfig(torus=(2, 3), p=3, m=2, n=120, steps=30)

@@ -260,6 +260,13 @@ class TestBilipBound:
         # the peak bounds the memory retained as well
         assert peak < 4 << 20
 
+    def test_nonuniform_input_resampled(self):
+        c = _noisy_trefoil(256)
+        e = c.edge_lengths()
+        assert (e.max() - e.min()) / e.mean() > 1e-9
+        assert (bilip_lower_bound(c, 0.1, 0.3)
+                == bilip_lower_bound(resample_arclength(c, c.n), 0.1, 0.3))
+
     def test_negative_bound_returned(self, circle512):
         res = bilip_lower_bound(circle512, 0.0, 0.5)
         assert res.bound < 0  # vacuous, reported as is

@@ -114,8 +114,11 @@ class TestSubstitute:
     @pytest.mark.parametrize("kwargs, match", [
         ({"r": -1.0}, "radius"), ({"r": math.nan}, "radius"),
         ({"r": 0.05, "theta": 0.5}, "ceiling"),
-        ({"r": 0.05, "theta": math.nan}, "ceiling")],
-        ids=["r=-1", "r=nan", "theta=0.5", "theta=nan"])
+        ({"r": 0.05, "theta": math.nan}, "ceiling"),
+        ({"r": 0.05, "theta": -1.0}, "ceiling"),
+        ({"r": 0.05, "theta": 0.0}, "ceiling")],
+        ids=["r=-1", "r=nan", "theta=0.5", "theta=nan", "theta=-1",
+             "theta=0"])
     def test_empty_centers_check_r_and_theta(self, kwargs, match):
         with pytest.raises(SubstitutionError, match=match):
             substitute(circle(256), [], **kwargs)
