@@ -79,8 +79,8 @@ def _cmd_analyze(args):
         "n": c.n,
         "length": c.total_length(),
         "diameter": c.diameter(),
-        "delta_global": prof.global_value,
-        "global_pair": list(prof.global_pair) if prof.global_pair else None,
+        "delta_global": float(prof.values[-1]),
+        "global_pair": list(prof.pairs[-1]) if prof.pairs[-1] else None,
     })
     if args.profile:
         write_csv(args.profile, ["r", "delta", "i", "j"],
@@ -105,7 +105,7 @@ def _cmd_analyze(args):
     if args.out:
         _write_json(args.out, report)
     print(f"n={c.n} length={c.total_length():.6g} "
-          f"delta_global={prof.global_value:.6f}")
+          f"delta_global={report['delta_global']:.6f}")
     if args.seminorm and report.get("seminorm_sq") is not None:
         print(f"seminorm_sq={report['seminorm_sq']:.6f} "
               f"rho={report.get('rho')} r_gamma={report.get('r_gamma')}")

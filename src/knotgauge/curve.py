@@ -51,8 +51,12 @@ class EmbeddingError(CurveError):
 
 
 def wrap01(s):
-    """Reduce a parameter (scalar or array) to [0, 1)."""
-    return s - np.floor(s)
+    """Reduce a parameter (scalar or array) to [0, 1).
+
+    A negative value too small for 1 + s to differ from 1 maps to 0, not 1.
+    """
+    w = s - np.floor(s)
+    return w - (w >= 1.0)
 
 
 def param_distance(s, t):
@@ -200,8 +204,7 @@ class Curve:
         return float(np.min(self.edge_lengths()))
 
     def max_edge(self):
-        return self.cached("max_edge",
-                           lambda: float(np.max(self.edge_lengths())))
+        return float(np.max(self.edge_lengths()))
 
     # -- metrics -----------------------------------------------------------
 

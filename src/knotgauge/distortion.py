@@ -199,7 +199,10 @@ def global_distortion(c):
 
 
 def scale_ladder(c):
-    """Log-spaced radii from 2 * min edge length up to the diameter."""
+    """Log-spaced radii from 2 * min edge length up to the diameter.
+
+    The top rung is the diameter exactly, so its local distortion is the
+    global one."""
     lo = 2.0 * c.min_edge()
     hi = c.diameter()
     if lo >= hi:
@@ -209,12 +212,11 @@ def scale_ladder(c):
 
 @dataclass
 class DistortionProfile:
-    """Local distortion along a ladder of scales plus the global value."""
+    """Local distortion along a ladder of scales; the top rung's value and
+    pair are the global ones."""
     scales: np.ndarray
     values: np.ndarray
     pairs: list
-    global_value: float
-    global_pair: tuple
 
 
 def distortion_profile(c):
@@ -225,9 +227,19 @@ def distortion_profile(c):
         v, pair = local_distortion(c, r)
         values[k] = v
         pairs.append(pair)
-    g, gp = global_distortion(c)
-    return DistortionProfile(scales=scales, values=values, pairs=pairs,
-                             global_value=g, global_pair=gp)
+    return DistortionProfile(scales=scales, values=values, pairs=pairs)
+
+
+def _admissible_rung(c, threshold):
+    """Scale and distortion ``(r, delta)`` of the largest
+    :func:`distortion_profile` rung with distortion below threshold, or
+    ``(None, None)`` when no rung qualifies."""
+    prof = distortion_profile(c)
+    below = np.flatnonzero(prof.values < threshold)
+    if not below.size:
+        return None, None
+    k = below[-1]
+    return float(prof.scales[k]), float(prof.values[k])
 
 
 def find_admissible_scale(c, threshold):
@@ -237,9 +249,7 @@ def find_admissible_scale(c, threshold):
     """
     if not 1.0 < threshold < math.pi / 2.0:
         raise ValueError(f"threshold must lie in (1, pi/2) (got {threshold})")
-    prof = distortion_profile(c)
-    below = np.flatnonzero(prof.values < threshold)
-    return float(prof.scales[below[-1]]) if below.size else None
+    return _admissible_rung(c, threshold)[0]
 
 
 # -- equivalence certificate -----------------------------------------------
@@ -278,10 +288,10 @@ class EquivalenceCertificate:
 def certify_equivalence(a, b, threshold=None, margin=1e-3):
     """Run the sufficient equivalence test on two sampled knots.
 
-    Searches each curve for the largest admissible scale with local
-    distortion below ``threshold - margin`` (a heuristic allowance for the
-    vertex sampling, not a bound), then demands that the Hausdorff
-    distance be below a quarter of the smaller scale.  The certificate also
+    Reads the scale and distortion of each curve's largest profile rung
+    with local distortion below ``threshold - margin`` (a heuristic
+    allowance for the vertex sampling, not a bound), then demands that the
+    Hausdorff distance be below a quarter of the smaller scale.  The certificate also
     carries each curve's shortest and longest edge.  Raises ValueError
     unless ``margin`` is finite and >= 0 (a negative margin would certify
     at a distortion above the threshold) and ``threshold - margin`` lies in
@@ -296,13 +306,10 @@ def certify_equivalence(a, b, threshold=None, margin=1e-3):
         raise ValueError(
             f"threshold - margin must lie in (1, pi/2) (got {threshold} - "
             f"{margin} = {thr})")
-    r1 = find_admissible_scale(a, thr)
-    r2 = find_admissible_scale(b, thr)
-    d1 = local_distortion(a, r1)[0] if r1 is not None else None
-    d2 = local_distortion(b, r2)[0] if r2 is not None else None
+    r1, d1 = _admissible_rung(a, thr)
+    r2, d2 = _admissible_rung(b, thr)
     h = hausdorff_distance(a, b)
     ok = (r1 is not None and r2 is not None
-          and d1 < thr and d2 < thr
           and h < 0.25 * min(r1, r2))
     return EquivalenceCertificate(
         r1=r1, r2=r2, delta1=d1, delta2=d2, hausdorff=h,

@@ -245,14 +245,11 @@ def fractional_admissible_scale(c):
     worst = ball_window_sums(
         tangent_density(c).density,
         [ball_halfwidth(r, n) for r in ladder]).max(axis=1)
-    rho = None
-    for r, w in zip(ladder[::-1], worst[::-1]):
-        if float(w) < WINDOW_SMALLNESS_SQ:
-            rho = float(r)
-            break
-    if rho is None:
+    small = np.flatnonzero(worst < WINDOW_SMALLNESS_SQ)
+    if not small.size:
         raise ConcentratedSeminormError(
             "seminorm too concentrated; use concentration pipeline")
+    rho = float(ladder[small[-1]])
     t = c.params()
     sigma = math.inf
     for b in row_blocks(n):

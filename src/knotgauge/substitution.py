@@ -242,7 +242,8 @@ def substitute(c, centers, theta=None, *, r):
     * bilipschitz constant of the modified curve at most twice the original.
 
     With an empty center list the input curve is returned unchanged, once
-    ``r`` and ``theta`` pass the same checks.
+    ``r`` and ``theta`` pass the same checks, with the report that the same
+    verification gives.
     """
     scale = c.total_length()
     work = Curve(c.samples / scale)
@@ -272,8 +273,6 @@ def _substitute(work, L, centers, theta, r):
         raise SubstitutionError(
             f"theta {theta:.3e} outside (0, bilipschitz ceiling {t3:.3e}] "
             f"(L={L:.3f})")
-    if not centers:
-        return _trivial_report(work, theta, r, L)
 
     n = work.n
     dirs, endpoints = [], []
@@ -286,15 +285,6 @@ def _substitute(work, L, centers, theta, r):
 
     modified = _build_modified(work, endpoints)
     return _verify(work, modified, centers, endpoints, theta, r, L, dirs)
-
-
-def _trivial_report(c, theta, r, L):
-    return SubstitutionReport(
-        modified=c, centers=[], endpoints=[], theta=theta, r=r,
-        bilip_original=L, bilip_modified=L, linf_distance=0.0,
-        window_distortions=[], intrinsic_ratio_min=1.0,
-        intrinsic_ratio_max=1.0, length_ratio=1.0, nu_delta_gaps=[],
-        annulus_seminorms=[], flags=dict.fromkeys(FLAGS, True))
 
 
 def _nearest_good(candidates, target, n):

@@ -80,6 +80,27 @@ class TestAnalyze:
         assert main(["analyze", trefoil_file, "--out", str(b)]) == 0
         assert a.read_text() == b.read_text()
 
+    def test_concentrated_seminorm_noted(self, tmp_path, capsys):
+        # the kink concentrates the seminorm: no window radius qualifies
+        path, out = tmp_path / "kinked.json", tmp_path / "report.json"
+        save_curve(kinked_track(n=1024)[0], str(path))
+        assert main(["analyze", str(path), "--seminorm",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["rho"] is None and report["r_gamma"] is None
+        assert report["seminorm_note"] == (
+            "seminorm too concentrated; use concentration pipeline")
+        assert "rho=None r_gamma=None" in capsys.readouterr().out
+
+    def test_global_fields_are_global_distortion(self, trefoil_file,
+                                                 tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["analyze", trefoil_file, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        v, pair = knotgauge.global_distortion(load_curve(trefoil_file))
+        assert report["delta_global"] == v
+        assert report["global_pair"] == list(pair)
+
 
 class TestCertify:
     def test_self_equivalent(self, trefoil_file):

@@ -10,7 +10,7 @@ from knotgauge.curve import (COINCIDENCE_TOL, PAIR_BLOCK, Curve, CurveError,
                              EmbeddingError, circle, hausdorff_distance,
                              load_curve, param_distance,
                              point_to_polyline_distance, resample_arclength,
-                             save_curve)
+                             save_curve, wrap01)
 from knotgauge.mobius import torus_knot
 from knotgauge.sobolev import seminorm_sq
 from util import (dense_hausdorff_distance, dense_point_to_polyline_distance,
@@ -62,6 +62,18 @@ def test_param_distance_range_and_symmetry(s, t):
     d = param_distance(s, t)
     assert 0.0 <= d <= 0.5 + 1e-12
     assert d == pytest.approx(param_distance(t, s), abs=1e-12)
+
+
+@given(st.floats(-1e6, 1e6))
+def test_wrap01_range(s):
+    assert 0.0 <= wrap01(s) < 1.0
+
+
+@pytest.mark.parametrize("s", [-1e-20, np.float64(-1e-17)])
+def test_wrap01_tiny_negative_is_zero(s):
+    # 1 + s rounds to 1 here, which is outside [0, 1)
+    assert wrap01(s) == 0.0 and isinstance(wrap01(s), float)
+    assert np.array_equal(wrap01(np.array([s, 0.25])), [0.0, 0.25])
 
 
 def test_param_distance_examples():

@@ -164,8 +164,20 @@ class TestLocalDistortion:
         # the sup runs over a nested family, so monotonicity is exact
         prof = distortion_profile(trefoil512)
         assert np.all(np.diff(prof.values) >= 0.0)
-        assert prof.values[-1] == pytest.approx(prof.global_value, rel=1e-12)
+        assert (prof.values[-1], prof.pairs[-1]) == \
+            global_distortion(trefoil512)
         assert np.all(prof.values >= 1.0)
+
+    def test_degenerate_ladder_top_is_global(self):
+        # star polygon {8/3}: 2 * min edge (3.70) exceeds the diameter (2.08)
+        angle = 2 * np.pi * 3 * np.arange(8) / 8
+        c = Curve(np.stack([np.cos(angle), np.sin(angle),
+                            0.3 * np.cos(3 * angle + 0.5)], axis=1))
+        assert 2 * c.min_edge() >= c.diameter()
+        ladder = scale_ladder(c)
+        assert ladder[0] == c.diameter() / 2 and ladder[-1] == c.diameter()
+        prof = distortion_profile(c)
+        assert (prof.values[-1], prof.pairs[-1]) == global_distortion(c)
 
     def test_degenerate_small_scale(self, circle64):
         v, pair = local_distortion(circle64, 1e-9)
@@ -307,6 +319,12 @@ class TestAdmissibleScale:
         tre = torus_knot_raw(2, 3, 2.0, 0.5, 256)
         assert find_admissible_scale(tre, 1.0 + 1e-9) is None
 
+    @pytest.mark.parametrize("threshold", [1.0, math.pi / 2, 2.0, math.nan])
+    def test_names_bad_threshold(self, threshold):
+        msg = rf"threshold must lie in \(1, pi/2\) \(got {threshold}\)"
+        with pytest.raises(ValueError, match=msg):
+            find_admissible_scale(circle(64), threshold)
+
 
 class TestCertificate:
     def test_self_certify(self, trefoil512):
@@ -359,6 +377,25 @@ class TestCertificate:
         for key, c in (("1", trefoil512), ("2", circle512)):
             assert cert["min_edge" + key] == float(c.edge_lengths().min())
             assert cert["max_edge" + key] == float(c.edge_lengths().max())
+
+    def test_delta_is_distortion_at_scale(self):
+        # the certify-2k pair: a trefoil at N=2048 and a 1e-4 bump of it
+        a = torus_knot(2, 3, n=2048)
+        t = a.params()
+        b = Curve(a.samples + 1e-4 * np.stack(
+            [np.sin(2 * np.pi * t), np.cos(4 * np.pi * t),
+             np.sin(6 * np.pi * t)], axis=1))
+        cert = certify_equivalence(a, b)
+        assert cert.passed
+        assert cert.delta1 == local_distortion(a, cert.r1)[0]
+        assert cert.delta2 == local_distortion(b, cert.r2)[0]
+
+    def test_no_rung_gives_no_scale_or_delta(self):
+        tre = torus_knot_raw(2, 3, 2.0, 0.5, 256)
+        cert = certify_equivalence(tre, tre, threshold=1.0 + 2e-9,
+                                   margin=1e-9)
+        assert not cert.passed
+        assert (cert.r1, cert.delta1, cert.r2, cert.delta2) == (None,) * 4
 
     def test_perturbed_trefoil(self, trefoil512):
         t = trefoil512.params()

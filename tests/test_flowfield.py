@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from knotgauge.curve import circle
 from knotgauge.distortion import (distortion_angle, distortion_threshold,
                                   find_admissible_scale, local_distortion,
                                   threshold_angle)
-from knotgauge.flowfield import (FlowError, _cap_of, direction_set,
-                                 direction_set_auto, enclosing_ball, flow,
-                                 geodesic_cap_radius, vector_field)
+from knotgauge.flowfield import (FlowError, _ball3, _ball4, _cap_of,
+                                 direction_set, direction_set_auto,
+                                 enclosing_ball, flow, geodesic_cap_radius,
+                                 vector_field)
 from util import rigid_moved, torus_knot_raw
 
 G3 = distortion_threshold(3)
@@ -22,6 +24,31 @@ def trefoil_setup():
     delta = local_distortion(tre, r_m)[0]
     alpha = 0.5 * (distortion_angle(delta).alpha + threshold_angle(3))
     return tre, r_m, alpha
+
+
+def _brute_ball(pts):
+    """Smallest ball through two or three of ``pts`` that holds them all,
+    as (center, radius)."""
+    pts = np.asarray(pts, dtype=float)
+    cands = [((p + q) / 2, np.linalg.norm(p - q) / 2)
+             for p, q in combinations(pts, 2)]
+    for p, q, s in combinations(pts, 3):
+        n = np.cross(q - p, s - p)
+        if n @ n <= 1e-20 * ((q - p) @ (q - p)) * ((s - p) @ (s - p)):
+            continue                    # collinear: no circumcircle
+        # equidistant from p, q and s, in their plane
+        c = np.linalg.solve(np.array([2 * (q - p), 2 * (s - p), n]),
+                            [q @ q - p @ p, s @ s - p @ p, n @ p])
+        cands.append((c, np.linalg.norm(p - c)))
+    return min(((c, r) for c, r in cands
+                if np.all(np.linalg.norm(pts - c, axis=1) <= r + 1e-9)),
+               key=lambda cr: cr[1])
+
+
+def _assert_same_ball(got, want):
+    (c, r), (wc, wr) = got, want
+    assert r == pytest.approx(wr, rel=1e-12)
+    assert np.allclose(c, wc, rtol=0.0, atol=1e-12)
 
 
 class TestEnclosingBall:
@@ -44,6 +71,44 @@ class TestEnclosingBall:
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         _, radius = enclosing_ball(pts)
         assert radius <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_collinear_and_coplanar_match_brute_force(self, seed):
+        # on a line or in a plane the minimal ball passes through two or
+        # three of the points
+        rng = np.random.default_rng(seed)
+        line = np.outer(rng.normal(size=7), rng.normal(size=3))
+        plane = np.c_[rng.normal(size=(7, 2)), np.zeros(7)]
+        for pts in (line, plane, rng.integers(-2, 3, size=(7, 3)) * [1, 1, 0]):
+            center, radius = enclosing_ball(pts)
+            _assert_same_ball((center, radius), _brute_ball(pts))
+
+    @pytest.mark.parametrize("pts", [
+        [[0, 0, 0], [1, 0, 0], [3, 0, 0]],
+        [[3, 0, 0], [-1, 0, 0], [0.5, 0, 0]],
+        [[0, 2, 1], [0, 2, 1], [0, -1, 1]]])
+    def test_ball3_collinear_fallback(self, pts):
+        # the cross product is exactly 0: the widest two-point ball
+        p, q, s = (np.array(v, dtype=float) for v in pts)
+        center, r2 = _ball3(p, q, s)
+        _assert_same_ball((np.array(center), math.sqrt(r2)), _brute_ball(pts))
+
+    @pytest.mark.parametrize("angles", [
+        [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi],
+        [0.3, 1.9, 2.2, 4.0]])
+    def test_ball4_coplanar_fallback(self, angles):
+        # four cocircular points in z = 0: the determinant is exactly 0 and
+        # every face's circumcircle is the circle itself
+        pts = [[2.0 + 3.0 * math.cos(a), -1.0 + 3.0 * math.sin(a), 0.0]
+               for a in angles]
+        center, r2 = _ball4(*(np.array(v) for v in pts))
+        _assert_same_ball((np.array(center), math.sqrt(r2)), _brute_ball(pts))
+        _assert_same_ball(enclosing_ball(pts), _brute_ball(pts))
+
+    def test_antipodal_cap_is_whole_sphere(self):
+        dirs = np.array([[0.0, 0.6, 0.8], [0.0, -0.6, -0.8]])
+        center, radius = _cap_of(dirs)
+        assert np.array_equal(center, dirs[0]) and radius == math.pi
 
     @pytest.mark.parametrize("seed", range(5))
     def test_two_direction_cap(self, seed):

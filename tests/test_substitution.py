@@ -8,7 +8,8 @@ from knotgauge.curve import Curve, arc_window, circle
 from knotgauge.sobolev import bilip_constant
 from knotgauge.substitution import (FLAGS, THETA1, GoodSetError,
                                     SubstitutionError,
-                                    _signed_offset, _window_distortion,
+                                    _difference_quotients_ok, _signed_offset,
+                                    _window_distortion,
                                     excess_field, good_sets, mean_direction,
                                     substitute, theta3, theta4,
                                     weak_type_check)
@@ -82,6 +83,29 @@ class TestGoodSets:
         thr = theta ** 0.25
         assert np.all(exc.maximal[gs.g_plus] <= thr)
         assert np.all(exc.maximal[gs.g_minus] <= thr)
+
+
+class TestExcessField:
+    def test_tiny_negative_center_wraps_to_zero(self):
+        c = fourier_curve(3, n=256)
+        assert excess_field(c, -1e-20, 0.1, nu=np.array([1.0, 0.0, 0.0])
+                            ).center == 0.0
+
+
+class TestDifferenceQuotients:
+    @pytest.mark.parametrize("nu, ok", [
+        ([1.0, 0.0, 0.0], True),
+        ([1.01, 0.0, 0.0], False),                     # projection above 1
+        ([math.cos(0.2), math.sin(0.2), 0.0], False),  # projection too low
+        ([1.0, math.tan(0.2), 0.0], False)],           # orthogonal part
+        ids=["exact", "long", "tilted", "orthogonal"])
+    def test_straight_side(self, nu, ok):
+        # on the straight side every quotient is the tangent (1, 0, 0)
+        c, x = track_curve(n=1024, seed=None, cap_noise=0.0)
+        r, theta = 0.04, 1e-9
+        ends = (c.index_of_param(x - r / 2), c.index_of_param(x + r / 2))
+        assert _difference_quotients_ok(c, x, r, np.array(nu), ends,
+                                        theta) is ok
 
 
 class TestWeakType:
