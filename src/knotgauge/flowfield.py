@@ -137,7 +137,7 @@ class DirectionSet:
         return 2.0 * self.cap_radius
 
 
-def direction_set(m, x, epsilon, _d_x=None, _dist=None):
+def direction_set(m, x, epsilon, _d_x=None):
     """Directions (x - z)/|x - z| for samples z within (1+eps) d(x, m).
 
     d(x, m) is the point-to-polyline distance; the nearest sample always
@@ -150,7 +150,7 @@ def direction_set(m, x, epsilon, _d_x=None, _dist=None):
     if d_x <= 0.0:
         raise FlowError("base point lies on the curve")
     q = m.samples
-    dist = np.linalg.norm(q - x, axis=1) if _dist is None else _dist
+    dist = np.linalg.norm(q - x, axis=1)
     sel = dist <= (1.0 + epsilon) * d_x
     if not np.any(sel):
         sel = np.zeros(m.n, dtype=bool)
@@ -176,22 +176,20 @@ def _cap_of(dirs):
 def direction_set_auto(m, x, alpha, _d_x=None):
     """Shrink epsilon from 1/4, halving it at most 40 times, until the cap
     diameter drops below alpha."""
-    x = np.asarray(x, dtype=float)
-    d_x = point_to_polyline_distance(x, m) if _d_x is None else _d_x
-    dist = np.linalg.norm(m.samples - x, axis=1)
     eps = 0.25
-    ds = direction_set(m, x, eps, _d_x=d_x, _dist=dist)
+    ds = direction_set(m, x, eps, _d_x=_d_x)
     for _ in range(40):
         if ds.cap_diameter < alpha:
             return ds
         eps *= 0.5
-        ds = direction_set(m, x, eps, _d_x=d_x, _dist=dist)
+        ds = direction_set(m, x, eps, _d_x=ds.d_x)
     return ds
 
 
-def geodesic_cap_radius(alpha, n=3):
-    """Radius of the spherical cap guaranteed to hold the direction set."""
-    s = math.sqrt((2.0 * n - 2.0) / n) * math.sin(alpha / 2.0)
+def geodesic_cap_radius(alpha):
+    """Radius of the spherical cap guaranteed to hold the direction set in
+    R^3, where the Jung-type factor sqrt((2n - 2)/n) is sqrt(4/3)."""
+    s = math.sqrt(4.0 / 3.0) * math.sin(alpha / 2.0)
     if s >= 1.0:
         return math.pi / 2.0
     return math.asin(s)
@@ -290,14 +288,16 @@ def flow(m, seed, direction, r_m, rho, delta=None, steps=256, alpha=None):
 
     Classical fourth-order Runge-Kutta with ``steps`` fixed steps; the trace
     records the polyline distance after every step and aborts if the
-    trajectory collides with the curve.
+    trajectory collides with the curve.  A non-finite seed is refused.
     """
     if steps < 64:
         raise FlowError("need at least 64 steps")
+    y = np.asarray(seed, dtype=float).copy()
+    if not np.all(np.isfinite(y)):
+        raise FlowError(f"seed {y} is not finite")
     if alpha is None:
         alpha = midpoint_angle(m, r_m)
     field = lambda y: vector_field(m, y, alpha, r_m, rho, direction, delta)
-    y = np.asarray(seed, dtype=float).copy()
     # below rho/2 the decreasing field vanishes, so any distance under
     # a quarter of rho means the trajectory genuinely hit the curve
     collision_tol = min(0.5 * m.min_edge(), 0.25 * rho)

@@ -1,4 +1,4 @@
-"""Fractional seminorm of the tangent field and the bilipschitz bounds it buys.
+"""Fractional seminorm of the tangent field and the bilipschitz constant.
 
 The half-order seminorm of the unit tangent is discretized as a double sum
 over sample pairs of |u_i - u_j|^2 / |t_i - t_j|^2 with midpoint weights
@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .curve import (PAIR_BLOCK, WINDOW_SLACK, arc_window, pair_ratio_range,
-                    pair_sq_distances, param_distance, resample_arclength,
-                    row_blocks)
+from .curve import (PAIR_BLOCK, WINDOW_SLACK, pair_ratio_range,
+                    pair_sq_distances, param_distance, row_blocks)
 from .distortion import LADDER_SIZE
 
 DEFAULT_BAND = 2
@@ -98,7 +96,7 @@ def _density_rows(c, rows, cols, band):
     return out
 
 
-def seminorm_sq(c, window=None, band=DEFAULT_BAND):
+def seminorm_sq(c, window=None):
     """Squared seminorm restricted to a parameter window.
 
     ``window`` is a boolean sample mask of length N, as built by
@@ -111,7 +109,7 @@ def seminorm_sq(c, window=None, band=DEFAULT_BAND):
     mask of length N raises :class:`ValueError`.
     """
     if window is None:
-        return tangent_density(c, band).total
+        return tangent_density(c).total
     window = np.asarray(window)
     if window.dtype != bool or window.shape != (c.n,):
         raise ValueError(
@@ -121,43 +119,10 @@ def seminorm_sq(c, window=None, band=DEFAULT_BAND):
     if idx.size < 2:
         warnings.warn("window holds fewer than two samples", stacklevel=2)
         return 0.0
-    return float(_density_rows(c, idx, idx, band).sum())
+    return float(_density_rows(c, idx, idx, DEFAULT_BAND).sum())
 
 
-# -- bilipschitz bounds --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BilipBound:
-    """Lower bound for a squared chord against the actual value."""
-    bound: float
-    chord_sq: float
-    seminorm_sq: float
-    param_dist: float
-
-
-def bilip_lower_bound(c, s, t):
-    """Seminorm-based lower bound on |c(t) - c(s)|^2 over the arc [s, t].
-
-    Returns ``(speed^2 - seminorm/2) * |t - s|^2`` in physical units together
-    with the actual squared chord.  Non-uniform inputs are resampled first
-    (only the unit-speed case is evaluated).  The windowed sum keeps *all*
-    distinct sample pairs (band 0): excluding a band would bias the bound
-    upward, the unsound direction for an inequality.  A negative bound is
-    vacuous and is returned as is.
-    """
-    e = c.edge_lengths()
-    if (e.max() - e.min()) / e.mean() > 1e-9:
-        c = resample_arclength(c, c.n)
-    i = c.index_of_param(s)
-    j = c.index_of_param(t)
-    dt = param_distance(i / c.n, j / c.n)
-    speed = c.total_length()
-    sem = seminorm_sq(c, arc_window(c.n, i / c.n, j / c.n), band=0)
-    bound = (1.0 - 0.5 * sem) * (dt * speed) ** 2
-    chord = c.samples[i] - c.samples[j]
-    return BilipBound(bound=float(bound), chord_sq=float(chord @ chord),
-                      seminorm_sq=sem, param_dist=dt)
+# -- bilipschitz constant ------------------------------------------------------
 
 
 def bilip_constant(c):

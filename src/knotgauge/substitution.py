@@ -88,13 +88,19 @@ class MeanDirection:
 def mean_direction(c, x, r, theta):
     """Mean tangent direction over B_r(x) under the annulus smallness test.
 
-    Requires theta < 1/8 and the squared tangent seminorm over the annulus
-    B_r(x) minus B_{theta r}(x) to be below theta; under that hypothesis the
-    mean tangent cannot vanish and both oscillation bounds are reported.
+    Requires theta < 1/8, an annulus B_r(x) minus B_{theta r}(x) of at
+    least two samples, and its squared tangent seminorm below theta; under
+    that hypothesis the mean tangent cannot vanish and both oscillation
+    bounds are reported.
     """
     if not theta < 1.0 / 8.0:
         raise SubstitutionError(f"theta must be below 1/8, got {theta}")
-    sem = seminorm_sq(c, param_window(c.n, x, r, inner=theta * r))
+    annulus = param_window(c.n, x, r, inner=theta * r)
+    if np.count_nonzero(annulus) < 2:
+        raise SubstitutionError(
+            f"annulus at x={x} holds fewer than two samples "
+            f"(r={r:.4g}, N={c.n})")
+    sem = seminorm_sq(c, annulus)
     if not sem < theta:
         raise SubstitutionError(
             f"annulus seminorm {sem:.3e} not below theta {theta:.3e} at x={x}")
@@ -175,8 +181,10 @@ def good_sets(excess, theta):
     and radius r of ``excess``.
 
     Membership: maximal excess at most theta^(1/4).  Raises
-    ``GoodSetError`` with the smallest maximal excess on each side when
-    either set is empty (enlarge r or pick the smallness differently).
+    :class:`SubstitutionError` when either ball holds no sample, which
+    r >= 4/N rules out, and ``GoodSetError`` with the smallest maximal
+    excess on each side when either set is empty (enlarge r or pick the
+    smallness differently).
     """
     if not theta < THETA1:
         raise SubstitutionError(
@@ -186,6 +194,11 @@ def good_sets(excess, theta):
     idx = np.arange(n)
     near_plus = param_window(n, x + r / 2.0, r / 8.0)
     near_minus = param_window(n, x - r / 2.0, r / 8.0)
+    for side, near in (("-", near_minus), ("+", near_plus)):
+        if not near.any():
+            raise SubstitutionError(
+                f"ball B_(r/8)(x {side} r/2) holds no sample (x={x}, "
+                f"r={r:.4g}, N={n}); r >= 4/N always holds samples")
     g_plus = idx[ok & near_plus]
     g_minus = idx[ok & near_minus]
     if g_plus.size == 0 or g_minus.size == 0:
@@ -243,8 +256,12 @@ def substitute(c, centers, theta=None, *, r):
 
     With an empty center list the input curve is returned unchanged, once
     ``r`` and ``theta`` pass the same checks, with the report that the same
-    verification gives.
+    verification gives.  A center that is not finite is refused.
     """
+    for x in centers:
+        if not np.isfinite(x):
+            raise SubstitutionError(
+                f"center {x} is not finite (r={r:.4g}, N={c.n})")
     scale = c.total_length()
     work = Curve(c.samples / scale)
     L = bilip_constant(work)

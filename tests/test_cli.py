@@ -14,7 +14,7 @@ from knotgauge.cli import main
 from knotgauge.curve import Curve, circle, load_curve, save_curve
 from knotgauge.mobius import (MinimizeConfig, minimize_symmetric,
                               mobius_energy, torus_knot)
-from util import kinked_track, track_curve
+from util import kinked_track, track_curve, unfiltered_good_sets
 
 
 @pytest.fixture
@@ -176,6 +176,25 @@ class TestSubstitute:
         assert ("error: --center must be t1,t2,..., got 'a'"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("center, k, match", [
+        ("nan", 102.4, "center nan is not finite"),
+        ("inf", 102.4, "center inf is not finite"),
+        ("x", 0.5, "holds fewer than two samples"),
+        ("x", 3.0, "ball B_(r/8)(x - r/2) holds no sample"),
+    ], ids=["nan", "inf", "annulus", "ball"])
+    def test_unresolvable_window_refused(self, tmp_path, capsys, center, k,
+                                         match):
+        c, x = track_curve(n=2048, seed=3)
+        src = tmp_path / "track.json"
+        save_curve(c, str(src))
+        rc = main(["substitute", str(src),
+                   f"--center={x if center == 'x' else center}",
+                   "--r", str(k / c.n)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and match in err
+        assert "no good endpoints" not in err
+
 
 class TestFlow:
     def test_trace_csv(self, trefoil_file, tmp_path):
@@ -203,6 +222,13 @@ class TestFlow:
         assert rc == 1
         assert ("error: --seed must be x,y,z, got 'a,b,c'"
                 in capsys.readouterr().err)
+
+    def test_nan_seed_refused(self, trefoil_file, capsys):
+        rc = main(["flow", trefoil_file, "--seed=nan,0,0", "--dir", "inc",
+                   "--rM", "0.1", "--rho", "0.01", "--steps", "64"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed [nan") and "is not finite" in err
 
     def test_nan_scale_refused(self, trefoil_file, capsys):
         rc = main(["flow", trefoil_file, "--seed", "0,0,3", "--dir", "inc",
@@ -249,6 +275,29 @@ class TestMinimize:
         assert rc == 0
         assert load_curve(str(out)).n == 120
 
+    def test_failed_certificate_exit(self, capsys):
+        rc = main(["minimize", "--torus", "2,3", "--p", "3", "--m", "2",
+                   "--n", "64", "--steps", "10"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: certificate failed at iteration 10: hausdorff 1.000e-01 "
+            "vs scales None, None\n")
+
+    def test_stalled_exit(self, monkeypatch, capsys):
+        import knotgauge.mobius as mobius
+        energy, calls = mobius.mobius_energy, []
+
+        def first_only(c):
+            calls.append(c)
+            return energy(c) if len(calls) == 1 else math.inf
+
+        monkeypatch.setattr(mobius, "mobius_energy", first_only)
+        rc = main(["minimize", "--torus", "2,3", "--p", "3", "--m", "2",
+                   "--n", "120", "--steps", "5"])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert out.startswith("status=stalled iterations=0 ")
+
     def test_out_is_last_iterate(self, tmp_path):
         out = tmp_path / "final.json"
         rc = main(["minimize", "--torus", "2,3", "--p", "3", "--m", "2",
@@ -271,6 +320,24 @@ class TestConcentrate:
         report = json.loads(rep.read_text())
         assert report["detected"] == []
         assert all(report["flags"].values())
+
+    def test_forced_endpoints_write_failed_curve(self, tmp_path, monkeypatch):
+        import knotgauge.substitution as substitution
+        monkeypatch.setattr(substitution, "good_sets", unfiltered_good_sets)
+        c, ref, _ = kinked_track(1024, chi=0.7)
+        paths = [str(tmp_path / f) for f in ("c.json", "ref.json", "out.json",
+                                             "rep.json")]
+        save_curve(c, paths[0])
+        save_curve(ref, paths[1])
+        rc = main(["concentrate", paths[0], "--reference", paths[1], "--p",
+                   "2", "--out", paths[2], "--report", paths[3]])
+        assert rc == 1
+        report = json.loads(Path(paths[3]).read_text())
+        assert report["flags"] == {"substitution": False, "distortion": True,
+                                   "budget": False, "certificate": True}
+        modified = load_curve(paths[2])
+        assert modified.n == c.n
+        assert not np.array_equal(modified.samples, c.samples)
 
     def test_unknown_args(self):
         with pytest.raises(SystemExit):

@@ -10,7 +10,7 @@ from knotgauge.concentration import (EPSILON, ConcentrationError,
 from knotgauge.curve import param_distance
 from knotgauge.sobolev import bilip_constant
 from knotgauge.substitution import SubstitutionError, theta4
-from util import curve_from_angles, kinked_track
+from util import curve_from_angles, kinked_track, unfiltered_good_sets
 
 
 def test_epsilon_value():
@@ -94,10 +94,25 @@ class TestSelectScale:
         # up to the reported prefix scale, despite the O(1) kink inside
         assert sel.theta == pytest.approx(theta4(L))
 
+    def test_twist_too_sharp_for_grid(self):
+        # the twist's annuli carry mass far above theta4(L)/2 at every
+        # ladder radius
+        c, _ = twist_track(1024)
+        det = detect_concentrations(c)
+        with pytest.raises(ConcentrationError, match="too sharp for grid"):
+            select_scale(c, det, p=2, L=bilip_constant(c))
+
     def test_requires_detection(self, circle512):
         det = detect_concentrations(circle512)
         with pytest.raises(ConcentrationError):
             select_scale(circle512, det, p=2, L=bilip_constant(circle512))
+
+
+@pytest.fixture
+def open_gate(monkeypatch):
+    """The good-set gate replaced by the unfiltered balls."""
+    import knotgauge.substitution as substitution
+    monkeypatch.setattr(substitution, "good_sets", unfiltered_good_sets)
 
 
 class TestPipeline:
@@ -135,3 +150,23 @@ class TestPipeline:
         c, ref, _ = kinked_track(2048, chi=0.7)
         with pytest.raises(SubstitutionError, match="no good endpoints"):
             pipeline(c, p=2, reference=ref)
+
+    def test_forced_endpoints_fail_verification(self, open_gate):
+        # endpoints forced past the gate carry the kink's tilt of nu into
+        # the substitution, whose verification then fails five flags; the
+        # final distortion, the budget and the certificate still run
+        c, ref, _ = kinked_track(1024, chi=0.7)
+        rep = pipeline(c, p=2, reference=ref)
+        assert rep.flags == {"substitution": False, "distortion": True,
+                             "budget": False, "certificate": True}
+        assert [k for k, ok in rep.substitution.flags.items() if not ok] == [
+            "linf", "window_distortion", "intrinsic", "nu_delta",
+            "difference_quotients"]
+        assert rep.linf_reference >= rep.budget
+        assert rep.certificate.passed
+        assert rep.modified.n == c.n
+
+    def test_concentrated_reference_gives_no_seminorm_scale(self, open_gate):
+        c, _, _ = kinked_track(1024, chi=0.7)
+        rep = pipeline(c, p=2, reference=c)
+        assert rep.scale.r_gamma is None

@@ -50,6 +50,12 @@ def test_kept_arrays_read_only(accessor):
     assert seminorm_sq(c) == seminorm_sq(circle(64))
 
 
+@pytest.mark.parametrize("shape", [(8, 2), (24,)])
+def test_rejects_non_point_array(shape):
+    with pytest.raises(CurveError, match=r"samples must be an \(N, 3\) array"):
+        Curve(np.zeros(shape))
+
+
 def test_rejects_nonfinite():
     q = circle(16).samples.copy()
     q[3, 1] = np.nan
@@ -449,6 +455,13 @@ class TestIO:
         p = tmp_path / "junk.json"
         p.write_text("{not json")
         with pytest.raises(CurveError, match="malformed"):
+            load_curve(str(p))
+
+    @pytest.mark.parametrize("payload", [[[0, 0, 0]], {"points": []}])
+    def test_samples_field_required(self, tmp_path, payload):
+        p = tmp_path / "fieldless.json"
+        p.write_text(json.dumps(payload))
+        with pytest.raises(CurveError, match="missing 'samples' field"):
             load_curve(str(p))
 
     def test_csv_header_required(self, tmp_path):

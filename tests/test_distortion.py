@@ -37,6 +37,11 @@ class TestThresholds:
         with pytest.raises(ValueError):
             distortion_threshold(2)
 
+    @pytest.mark.parametrize("n", [2, 3.5])
+    def test_angle_rejects_dimension(self, n):
+        with pytest.raises(ValueError, match=rf"integer >= 3 \(got {n}\)"):
+            threshold_angle(n)
+
     def test_angle_consistency(self):
         # ratio at the threshold angle reproduces the threshold
         for n in range(3, 65):
@@ -45,6 +50,10 @@ class TestThresholds:
 
     def test_beta3(self):
         assert threshold_angle(3) == pytest.approx(2 * math.pi / 3, abs=1e-12)
+
+
+def test_arc_chord_ratio_flat_limit():
+    assert arc_chord_ratio(0.0) == 1.0
 
 
 @given(st.floats(1e-6, math.pi - 1e-6))

@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from knotgauge.curve import circle
+from knotgauge.curve import Curve, circle
 from knotgauge.distortion import (distortion_angle, distortion_threshold,
                                   find_admissible_scale, local_distortion,
                                   threshold_angle)
@@ -161,6 +161,12 @@ class TestDirectionSet:
             ds = direction_set_auto(tre, x, alpha)
             assert ds.cap_diameter < alpha
 
+    def test_auto_stops_after_forty_halvings(self, trefoil_setup):
+        # no cap diameter is below 0
+        tre, r_m, _ = trefoil_setup
+        x = tre.samples[7] + np.array([0.0, 0.0, 0.1 * r_m])
+        assert direction_set_auto(tre, x, 0.0).epsilon == 0.25 * 2.0 ** -40
+
     def test_separation_inequality(self, trefoil_setup):
         # every nearest sample sees the cap center under the cap angle
         tre, r_m, alpha = trefoil_setup
@@ -221,8 +227,48 @@ class TestVectorField:
             vector_field(tre, y, alpha, r_m, rho=r_m / 4, direction="dec",
                          delta=None)
 
+    @pytest.mark.parametrize("height, kwargs, error, match", [
+        (0.0, {}, FlowError, "field queried on the curve"),
+        (0.1, {"direction": "up"}, ValueError,
+         "direction must be 'inc' or 'dec'"),
+        (0.1, {"alpha": 2.2}, FlowError, "alpha too large"),
+    ])
+    def test_refusals(self, trefoil_setup, height, kwargs, error, match):
+        tre, r_m, alpha = trefoil_setup
+        y = tre.samples[7] + np.array([0.0, 0.0, height * r_m])
+        with pytest.raises(error, match=match):
+            vector_field(tre, y, r_m=r_m, rho=r_m / 8,
+                         **{"alpha": alpha, **kwargs})
+
+    def test_alpha_cap_limit(self):
+        # sqrt(4/3) sin(1.1) > 1: no cap below pi/2 is guaranteed
+        assert geodesic_cap_radius(2.2) == math.pi / 2
+
+    def test_opposite_nearest_vertices_violate_hypothesis(self):
+        # a hexagon pinched at the origin, whose nearest polygon points
+        # are the vertices (-+0.1, 0, 0): the two directions are opposite,
+        # so no open hemisphere holds them at any epsilon
+        q = [[-1, -1, 0], [-0.1, 0, 0], [-1, 1, 0], [0, 1, 0], [1, 1, 0],
+             [0.1, 0, 0], [1, -1, 0], [0, -1, 0]]
+        c = Curve(np.array(q, dtype=float))
+        with pytest.raises(FlowError, match="distortion hypothesis violated "
+                                            "at .* cap radius 3.142"):
+            vector_field(c, [0.0, 0.0, 0.0], 1.0, r_m=1.0, rho=0.1)
+
 
 class TestFlow:
+    def test_nonfinite_seed_refused(self, trefoil_setup):
+        tre, r_m, _ = trefoil_setup
+        with pytest.raises(FlowError, match=r"seed \[nan  0\.  0\.\] is not "
+                                            "finite"):
+            flow(tre, [math.nan, 0.0, 0.0], "inc", r_m, r_m / 8, steps=64)
+
+    def test_seed_on_curve_refused(self, trefoil_setup):
+        tre, r_m, alpha = trefoil_setup
+        with pytest.raises(FlowError, match="seed lies on the curve"):
+            flow(tre, tre.samples[3], "inc", r_m, r_m / 8, steps=64,
+                 alpha=alpha)
+
     def test_increasing_monotone_and_escape(self, trefoil_setup):
         tre, r_m, alpha = trefoil_setup
         rng = np.random.default_rng(6)

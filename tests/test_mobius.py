@@ -5,9 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from knotgauge.curve import Curve, EmbeddingError, circle, resample_arclength
-from knotgauge.mobius import (MinimizeConfig, SymmetrySpec,
-                              minimize_symmetric, mobius_energy,
+import knotgauge.mobius as mobius
+from knotgauge.curve import (Curve, CurveError, EmbeddingError, circle,
+                             resample_arclength)
+from knotgauge.mobius import (MAX_HALVINGS, DescentAborted, MinimizeConfig,
+                              SymmetrySpec, minimize_symmetric, mobius_energy,
                               mobius_gradient, symmetrize_curve,
                               symmetrize_field, symmetry_residual, torus_knot)
 from util import (dense_mobius_energy, dense_mobius_gradient, ellipse_curve,
@@ -170,6 +172,18 @@ class TestSymmetry:
         hs = symmetrize_field(h, spec)
         assert np.allclose(hs[: n // 4], h[: n // 4], atol=1e-12)
 
+    @pytest.mark.parametrize("make, match", [
+        (lambda: SymmetrySpec(p=1), "symmetry order must be >= 2"),
+        (lambda: SymmetrySpec(p=4, m=2), "multiplier 2 not coprime to 4"),
+        (lambda: symmetry_residual(circle(64), SymmetrySpec(p=3)),
+         "sample count not divisible by the symmetry order"),
+        (lambda: MinimizeConfig(p=2).build_initial(),
+         "config needs either a torus class or a curve"),
+    ], ids=["order", "multiplier", "residual", "no-initial"])
+    def test_refusals(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
     def test_divisibility_required(self):
         spec = SymmetrySpec(p=3)
         with pytest.raises(ValueError):
@@ -232,6 +246,53 @@ class TestMinimize:
         assert all(b < a for a, b in zip(en, en[1:]))
         assert max(s.residual for s in res.states) < 1e-9
         assert all(c.passed for _, c in res.certificates)
+
+    def test_failed_certificate_aborts(self):
+        # at 66 samples the lowest rung, twice the shortest edge, already
+        # sees the global distortion (about 13.4), so no rung is admissible
+        cfg = MinimizeConfig(torus=(2, 3), p=3, m=2, n=64, steps=10)
+        with pytest.raises(DescentAborted, match=re.escape(
+                "certificate failed at iteration 10: hausdorff 1.000e-01 "
+                "vs scales None, None")):
+            minimize_symmetric(cfg)
+
+    def test_rejected_trials_stall(self, monkeypatch):
+        energy, calls = mobius.mobius_energy, []
+
+        def first_only(c):
+            calls.append(c)
+            return energy(c) if len(calls) == 1 else math.inf
+
+        monkeypatch.setattr(mobius, "mobius_energy", first_only)
+        res = minimize_symmetric(
+            MinimizeConfig(torus=(2, 3), p=3, m=2, n=120, steps=5))
+        assert res.status == "stalled"
+        assert len(res.states) == 1 and res.certificates == []
+        assert len(calls) == 1 + MAX_HALVINGS
+
+    def test_failed_trial_halves_step(self, monkeypatch):
+        resample, calls = mobius.resample_arclength, []
+
+        def fail_first_trial(c, n):
+            # the first call builds the initial curve
+            calls.append(n)
+            if len(calls) == 2:
+                raise CurveError("trial rejected")
+            return resample(c, n)
+
+        monkeypatch.setattr(mobius, "resample_arclength", fail_first_trial)
+        res = minimize_symmetric(
+            MinimizeConfig(torus=(2, 3), p=3, m=2, n=120, steps=1))
+        assert res.status == "ok" and res.final.iteration == 1
+        assert res.final.step == 0.5 * (1e-2 / res.final.gradient_norm)
+
+    def test_zero_gradient_stops(self, monkeypatch):
+        monkeypatch.setattr(mobius, "mobius_gradient",
+                            lambda c: np.zeros((c.n, 3)))
+        res = minimize_symmetric(
+            MinimizeConfig(torus=(2, 3), p=3, m=2, n=120, steps=5))
+        assert res.status == "ok"
+        assert len(res.states) == 1 and res.final.iteration == 0
 
     def test_ellipse_toward_circle(self):
         cfg = MinimizeConfig(initial=ellipse_curve(1.25, 0.8, 96), p=2,

@@ -9,8 +9,8 @@ from knotgauge.distortion import local_distortion
 from knotgauge.sobolev import (DEFAULT_BAND, ConcentratedSeminormError,
                                _density_rows, ball_halfwidth,
                                ball_window_sums, bilip_constant,
-                               bilip_lower_bound, fractional_admissible_scale,
-                               seminorm_sq, tangent_density)
+                               fractional_admissible_scale, seminorm_sq,
+                               tangent_density)
 from util import (reference_density, reference_window_sums, rigid_moved,
                   torus_knot_raw, track_curve)
 
@@ -135,7 +135,8 @@ class TestDensityKernel:
         assert np.array_equal(grid.density, ref)
         assert grid.total == float(ref.sum())
 
-        # windows read on a fresh curve compute their own blocks
+        # windows, read at the default band only, on a fresh curve compute
+        # their own blocks
         c = make(n)
         thin = 2.5 / n
         windows = [param_window(n, 0.0, 0.1),             # wraps 0
@@ -143,8 +144,9 @@ class TestDensityKernel:
                    param_window(n, 0.0, 0.2, inner=0.2 - thin),
                    param_window(n, 0.6, 0.05, inner=0.05 - thin),
                    param_window(n, 0.3, 0.5)]             # whole circle
-        for w in windows:
-            assert seminorm_sq(c, w, band) == float(ref[np.ix_(w, w)].sum())
+        if band == DEFAULT_BAND:
+            for w in windows:
+                assert seminorm_sq(c, w) == float(ref[np.ix_(w, w)].sum())
         assert ("tangent_density", band) not in c._cache
 
         ks = [0, 1, 4, n // 3, (n - 1) // 2]
@@ -228,49 +230,6 @@ class TestDensityCache:
 
 
 class TestBilipBound:
-    def test_straight_segment_equality(self):
-        # rectangle resampled to uniform speed; the arc [0.05, 0.25] lies on
-        # one straight side (the side covers params 0 .. 1/3)
-        n = 64
-        q = np.zeros((4 * n, 3))
-        s = np.arange(n) / n
-        q[:n] = np.stack([s, np.zeros(n), np.zeros(n)], axis=1)
-        q[n:2 * n] = np.stack([np.ones(n), 0.5 * s, np.zeros(n)], axis=1)
-        q[2 * n:3 * n] = np.stack([1.0 - s, 0.5 * np.ones(n), np.zeros(n)], axis=1)
-        q[3 * n:] = np.stack([np.zeros(n), 0.5 - 0.5 * s, np.zeros(n)], axis=1)
-        c = resample_arclength(Curve(q), 4 * n)
-        res = bilip_lower_bound(c, 0.05, 0.25)
-        assert res.seminorm_sq == 0.0
-        assert res.chord_sq == pytest.approx(res.bound, rel=1e-9)
-
-    def test_circle_small_separation(self, circle2048):
-        res = bilip_lower_bound(circle2048, 0.1, 0.12)
-        assert res.bound >= 0
-        assert res.chord_sq >= res.bound - 1e-9
-
-    def test_density_not_kept(self):
-        # the band-0 density of a 2048-gon alone takes 32 MB
-        c = circle(2048)
-        tracemalloc.start()
-        try:
-            bilip_lower_bound(c, 0.1, 0.12)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the peak bounds the memory retained as well
-        assert peak < 4 << 20
-
-    def test_nonuniform_input_resampled(self):
-        c = _noisy_trefoil(256)
-        e = c.edge_lengths()
-        assert (e.max() - e.min()) / e.mean() > 1e-9
-        assert (bilip_lower_bound(c, 0.1, 0.3)
-                == bilip_lower_bound(resample_arclength(c, c.n), 0.1, 0.3))
-
-    def test_negative_bound_returned(self, circle512):
-        res = bilip_lower_bound(circle512, 0.0, 0.5)
-        assert res.bound < 0  # vacuous, reported as is
-
     @pytest.mark.parametrize("maker", [lambda: circle(256),
                                        lambda: torus_knot_raw(2, 3, n=256)])
     def test_no_violation_exhaustive(self, maker):

@@ -16,6 +16,11 @@ from knotgauge.substitution import (FLAGS, THETA1, GoodSetError,
 from util import fourier_curve, kinked_track, track_curve
 
 
+@pytest.fixture(scope="module")
+def track2048():
+    return track_curve(n=2048, seed=3)
+
+
 def test_threshold_ordering():
     for L in (1.0, 2.0, 10.0, 100.0):
         assert theta4(L) < theta3(L) < THETA1 < 1 / 8
@@ -206,6 +211,27 @@ class TestSubstitute:
                            match=re.escape(f"no good endpoints at this scale "
                                            f"(x={x},")):
             substitute(c, [x], r=0.05)
+
+    @pytest.mark.parametrize("center, k, match", [
+        ("nan", 102.4, "center nan is not finite (r=0.05, N=2048)"),
+        ("inf", 102.4, "center inf is not finite (r=0.05, N=2048)"),
+        ("x", 0.5, "holds fewer than two samples (r=0.0002441, N=2048)"),
+        ("x", 3.0, "ball B_(r/8)(x - r/2) holds no sample (x=0.10498046875, "
+                   "r=0.001465, N=2048); r >= 4/N always holds samples"),
+    ], ids=["nan", "inf", "annulus", "ball"])
+    def test_unresolvable_window_refused(self, track2048, center, k, match):
+        # r = k/N around the sample x = 215/N: at k = 0.5 the annulus holds
+        # no sample, at k = 3 both balls B_(r/8)(x -+ r/2) fall between
+        # samples
+        c, x = track2048
+        with pytest.raises(SubstitutionError, match=re.escape(match)) as exc:
+            substitute(c, [x if center == "x" else float(center)], r=k / c.n)
+        assert type(exc.value) is SubstitutionError
+
+    def test_empty_ball_refused_by_content_not_size(self, track2048):
+        # r = 3/N half a step off x puts both ball centers on samples
+        c, x = track2048
+        assert substitute(c, [x + 0.5 / c.n], r=3.0 / c.n).all_pass
 
     def test_seeded_reproducibility(self):
         c, x = track_curve(n=1024, seed=2)

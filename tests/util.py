@@ -2,8 +2,10 @@
 
 import numpy as np
 
-from knotgauge.curve import PAIR_BLOCK, Curve, resample_arclength, row_blocks
+from knotgauge.curve import (PAIR_BLOCK, Curve, param_window,
+                             resample_arclength, row_blocks)
 from knotgauge.distortion import _state_changes
+from knotgauge.substitution import GoodSets
 
 
 def curve_from_angles(angles):
@@ -69,6 +71,15 @@ def kinked_track(n=4096, chi=0.7, straight_frac=0.2):
     curve = curve_from_angles(np.concatenate([angles, angles + np.pi]))
     reference = curve_from_angles(np.concatenate([base, base + np.pi]))
     return curve, reference, kink / n
+
+
+def unfiltered_good_sets(excess, theta):
+    """Stand-in for ``substitution.good_sets`` that takes every sample of
+    B_{r/8}(x +- r/2) as good, which forces a substitution past the gate."""
+    n, x, r = excess.maximal.shape[0], excess.center, excess.radius
+    idx = np.arange(n)
+    return GoodSets(g_plus=idx[param_window(n, x + r / 2.0, r / 8.0)],
+                    g_minus=idx[param_window(n, x - r / 2.0, r / 8.0)])
 
 
 def torus_knot_raw(a, b, R0=2.0, r0=0.5, n=512):
