@@ -187,12 +187,9 @@ def _annulus_prefix_scale(c, centers, ladder, theta):
 
 
 def _uniform_smallness_radius(c, detection, ladder):
-    dens = tangent_density(c).density.copy()
-    members = detection.cluster_members
-    dens[members, :] = 0.0
-    dens[:, members] = 0.0
     worst = ball_window_sums(
-        dens, [ball_halfwidth(r, c.n) for r in ladder]).max(axis=1)
+        tangent_density(c).density, [ball_halfwidth(r, c.n) for r in ladder],
+        exclude=detection.cluster_members).max(axis=1)
     best = None
     for r, w in zip(ladder, worst):
         if float(w) <= 2.0 * EPSILON:

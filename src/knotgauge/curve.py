@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from contextlib import contextmanager
 from itertools import chain
 
 import numpy as np
@@ -72,19 +73,60 @@ def row_blocks(n):
     return [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
+#: flat work arrays that pair scans borrow through :func:`work_arrays`,
+#: kept between scans: a fresh 128 KB array is mapped from the system and
+#: its pages faulted in anew on every call
+_WORK = []
+
+
+@contextmanager
+def work_arrays(k, n):
+    """``k`` flat work arrays of at least max(``PAIR_BLOCK``, N) floats,
+    room for any block of :func:`row_blocks`, borrowed from a pool kept
+    between calls and given back on exit.  A scan nested inside another
+    borrows other arrays, so it never overwrites the blocks of the scan
+    around it."""
+    size = max(PAIR_BLOCK, n)
+    taken = [_WORK.pop() if _WORK else np.empty(size) for _ in range(k)]
+    taken = [a if a.size >= size else np.empty(size) for a in taken]
+    try:
+        yield taken
+    finally:
+        _WORK.extend(taken)
+
+
+def block_view(work, rows, cols):
+    """The first rows * cols entries of a flat work array as a contiguous
+    (rows, cols) array."""
+    return work[:rows * cols].reshape(rows, cols)
+
+
+def outer_difference(a, b, out, work):
+    """a_i - b_j for every i, j, written to ``out`` through ``work``, both
+    of shape (len(a), len(b)): two broadcast copies and one subtraction of
+    whole arrays, the same values as ``np.subtract.outer`` but without the
+    two 64 KB iterator buffers it takes on each call, and in about 70% of
+    its time for 2^14 entries."""
+    np.copyto(work, b)
+    np.copyto(out, a[:, None])
+    return np.subtract(out, work, out=out)
+
+
 def pair_sq_distances(rows, cols, out, work):
     """Squared distances |p_i - q_j|^2 between the points p of ``rows`` and
     q of ``cols``, each given as its three coordinate arrays (x, y, z),
-    written to ``out`` through ``work``, both of shape (len(p), len(q)).
+    written to ``out`` through the two arrays ``work``, all of shape
+    (len(p), len(q)).
 
     Summed as (dx^2 + dz^2) + dy^2, the order of an einsum over the
     (rows, cols, 3) differences, so every entry and the reports built on
     them stay the same bit for bit.
     """
     (xr, yr, zr), (xc, yc, zc) = rows, cols
-    np.square(np.subtract.outer(xr, xc, out=work), out=out)
-    out += np.square(np.subtract.outer(zr, zc, out=work), out=work)
-    out += np.square(np.subtract.outer(yr, yc, out=work), out=work)
+    d, e = work
+    np.square(outer_difference(xr, xc, d, e), out=out)
+    out += np.square(outer_difference(zr, zc, d, e), out=d)
+    out += np.square(outer_difference(yr, yc, d, e), out=d)
     return out
 
 
@@ -126,11 +168,12 @@ class Curve:
 
     Vertices, edge vectors and squared edge lengths are computed and
     validated once, at construction.  Every other derived quantity (edge
-    lengths, cumulative arclength, tangents, longest edge, the chord matrix
-    with its embeddedness verdict and diameter, the intrinsic matrix, the
-    pair table, one tangent density per band, the KD-tree over the
-    vertices) is built lazily through :meth:`cached`.  Every array a curve
-    keeps is read-only.
+    lengths, cumulative arclength, tangents, the embeddedness verdict with
+    the diameter, the intrinsic matrix, the pair table, the bilipschitz
+    constant, one tangent density per band, the KD-tree over the
+    vertices) is built lazily through :meth:`cached`.  No chord is kept: every scan computes its
+    blocks (:meth:`chord_blocks`).  Every array a curve keeps is
+    read-only.
     """
 
     def __init__(self, samples):
@@ -197,8 +240,9 @@ class Curve:
         return float(self.cum_lengths()[-1])
 
     def diameter(self):
-        """Largest pairwise vertex distance, found by the chord build."""
-        return self._chords()[2]
+        """Largest pairwise vertex distance, taken by the first full chord
+        scan (see :meth:`chord_blocks`)."""
+        return self._chords()[1]
 
     def min_edge(self):
         return float(np.min(self.edge_lengths()))
@@ -217,18 +261,20 @@ class Curve:
 
     def check_embedded(self):
         """Raise :class:`EmbeddingError` when a non-adjacent chord is at most
-        ``COINCIDENCE_TOL`` times the length, as found by the chord build."""
-        if not self._chords()[1]:
+        ``COINCIDENCE_TOL`` times the length, as found by the first full
+        chord scan (see :meth:`chord_blocks`)."""
+        if not self._chords()[0]:
             raise EmbeddingError("not embedded: non-adjacent samples coincide")
 
-    def intrinsic_rows(self, rows, cols=None):
+    def intrinsic_rows(self, rows, cols=None, out=None):
         """Rows ``rows`` (a slice or index array) of :meth:`intrinsic_matrix`,
         or with ``cols`` (the same) its block ``np.ix_(rows, cols)``,
-        computed alone as a fresh array, so that a caller scanning the pairs
-        once needs no N x N array.
+        computed alone, so that a caller scanning the pairs once needs no
+        N x N array; written to ``out`` when given, else to a fresh array.
         """
         s = self.cum_lengths()[:-1]
-        d = np.subtract.outer(s[rows], s if cols is None else s[cols])
+        d = np.subtract.outer(s[rows], s if cols is None else s[cols],
+                              out=out)
         np.abs(d, out=d)
         return np.minimum(d, self.total_length() - d, out=d)
 
@@ -237,52 +283,106 @@ class Curve:
         def build():
             m = np.empty((self.n, self.n))
             for b in row_blocks(self.n):
-                m[b] = self.intrinsic_rows(b)
+                self.intrinsic_rows(b, out=m[b])
             return m
         return self.cached("intrinsic_matrix", build)
 
+    def chord_blocks(self, upper=True):
+        """The chords of every row block ``b`` of :func:`row_blocks`, as
+        pairs ``(b, chords)``: rows ``b`` against the columns ``b.start:``
+        (``upper``), so that each pair i < j appears once, or against all
+        columns.  Each block is computed when it is reached, into a
+        borrowed work array, and handed out read-only; the next block
+        overwrites it.  How every pair scan reads chords: no N x N array is
+        built.
+
+        The first full scan of a curve also takes its embeddedness verdict
+        and diameter, each block's while it is hot.  A block holding a
+        coincident non-adjacent pair raises :class:`EmbeddingError` before
+        it is handed out, so no ratio ever sees that pair; so does every
+        scan of a curve already found not embedded.
+        """
+        if "chords" in self._cache:
+            self.check_embedded()
+            yield from self._chord_blocks(upper)
+            return
+        diameter = -np.inf
+        for b, chords in self._chord_blocks(upper):
+            embedded, top = self._block_verdict(b, upper, chords)
+            if not embedded:
+                self.check_embedded()   # records the verdict, then raises
+            diameter = max(diameter, top)
+            yield b, chords
+        self.cached("chords", lambda: (True, diameter))
+
+    def _chord_blocks(self, upper):
+        """:meth:`chord_blocks` without the verdict."""
+        n = self.n
+        xyz = np.ascontiguousarray(self._q.T)
+        with work_arrays(3, n) as (out, *work):
+            for b in row_blocks(n):
+                lo = b.start if upper else 0
+                shape = (b.stop - b.start, n - lo)
+                chords = block_view(out, *shape)
+                pair_sq_distances(xyz[:, b], xyz[:, lo:], chords,
+                                  [block_view(a, *shape) for a in work])
+                np.sqrt(chords, out=chords)
+                chords = chords.view()
+                chords.setflags(write=False)
+                yield b, chords
+
+    def _block_verdict(self, b, upper, chords):
+        """Whether a block of :meth:`_chord_blocks` holds no coincident
+        non-adjacent pair, and its largest chord."""
+        n = self.n
+        close = chords <= COINCIDENCE_TOL * self.total_length()
+        embedded = True
+        # only more close pairs than the diagonal need a look
+        if np.count_nonzero(close) > b.stop - b.start:
+            i, j = np.nonzero(close)
+            sep = np.abs(i + b.start - j - (b.start if upper else 0))
+            embedded = not np.any(np.minimum(sep, n - sep) > 1)
+        return embedded, float(chords.max())
+
+    def _chords(self):
+        """The cache entry ``(embedded, diameter)``: recorded by the first
+        full :meth:`chord_blocks` scan, or, when none has run, by a pass
+        over the upper blocks of its own."""
+        def build():
+            verdicts = [self._block_verdict(b, True, chords)
+                        for b, chords in self._chord_blocks(True)]
+            return (all(ok for ok, _ in verdicts),
+                    max(top for _, top in verdicts))
+        return self.cached("chords", build)
+
     def chord_rows(self, rows, cols=None):
         """Rows ``rows`` (a slice or index array) of :meth:`chord_matrix`,
-        or with ``cols`` its block ``np.ix_(rows, cols)``, read-only: how
-        every pair scan reads chords.  Raises :class:`EmbeddingError` on a
-        curve that is not embedded."""
+        or with ``cols`` its block ``np.ix_(rows, cols)``, computed alone
+        and read-only: how a window of pairs reads chords.  Raises
+        :class:`EmbeddingError` on a curve that is not embedded."""
         self.check_embedded()
-        chord = self._cache["chords"][0]    # built by the check
-        out = chord[rows] if cols is None else chord[np.ix_(rows, cols)]
+        xyz = self._q.T
+        r, c = xyz[:, rows], xyz if cols is None else xyz[:, cols]
+        out = np.empty((r.shape[1], c.shape[1]))
+        step = max(1, PAIR_BLOCK // c.shape[1])
+        with work_arrays(2, c.shape[1]) as work:
+            for lo in range(0, len(out), step):
+                ob = out[lo:lo + step]
+                pair_sq_distances(r[:, lo:lo + step], c, ob,
+                                  [block_view(a, *ob.shape) for a in work])
+        np.sqrt(out, out=out)
         out.setflags(write=False)
         return out
 
     def chord_matrix(self):
-        """N x N matrix of euclidean vertex distances (see :meth:`_chords`)."""
-        def build():
-            n = self.n
-            xyz = self._q.T
-            tol = COINCIDENCE_TOL * self.total_length()
-            m = np.empty((n, n))
-            blocks = row_blocks(n)
-            diff = np.empty((blocks[0].stop, n))
-            embedded, diameter = True, -np.inf
-            for b in blocks:
-                mb = m[b]
-                pair_sq_distances(xyz[:, b], xyz, mb, diff[:b.stop - b.start])
-                np.sqrt(mb, out=mb)
-                diameter = max(diameter, float(mb.max()))
-                close = mb <= tol
-                # only more close pairs than the diagonal need a look
-                if np.count_nonzero(close) > b.stop - b.start:
-                    i, j = np.nonzero(close)
-                    sep = np.abs(i + b.start - j)
-                    embedded &= not np.any(np.minimum(sep, n - sep) > 1)
-            return m, embedded, diameter
-        return self.cached("chords", build)[0]
-
-    def _chords(self):
-        """The cache entry ``(matrix, embedded, diameter)``.  One row-block
-        pass builds it, taking each block's largest chord and coincident
-        pairs while the block is hot; it runs inside :meth:`chord_matrix`,
-        so a profile times the build there."""
-        self.chord_matrix()
-        return self._cache["chords"]
+        """N x N matrix of euclidean vertex distances, built anew on each
+        call from the blocks of :meth:`chord_blocks`, read-only; no
+        embeddedness check."""
+        m = np.empty((self.n, self.n))
+        for b, chords in self._chord_blocks(False):
+            m[b] = chords
+        m.setflags(write=False)
+        return m
 
     def tangents(self):
         """Unit edge directions u_i = (q_{i+1} - q_i)/|q_{i+1} - q_i|."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from scipy.optimize import brentq
 
-from .curve import hausdorff_distance, row_blocks
+from .curve import block_view, hausdorff_distance, work_arrays
 
 #: threshold sequence limit: the distortion of a quarter circle
 G_INF = math.pi / math.sqrt(8.0)
@@ -86,16 +86,23 @@ def distortion_angle(delta):
 
 
 def _state_changes(lengths, ratios, flat, n):
-    """The pairs that become the running state when taken in chord order.
+    """The pairs that become the running state when taken in chord order,
+    the last of each run of equal chords only.
 
     The state after a prefix is its largest intrinsic/chord ratio with the
     smallest flat index i*N + j attaining it.  A pair outside the result is
     beaten by one of no larger chord, so no prefix of whole chord values
-    (what a query sees) answers differently without it; the order within
-    equal chords is therefore free, and the faster unstable sort serves.
+    (what a query sees) answers differently without it.  A query reads
+    only the last entry of equal chords, the state after all of them,
+    which does not depend on their order; so the result does not either,
+    and the faster unstable sort serves.
     """
     order = np.argsort(lengths)
-    lengths, ratios, flat = lengths[order], ratios[order], flat[order]
+    return _running_state(lengths[order], ratios[order], flat[order], n)
+
+
+def _running_state(lengths, ratios, flat, n):
+    """:func:`_state_changes` of pairs already in increasing chord."""
     best = np.maximum.accumulate(ratios)
     rises = np.empty(best.size, dtype=bool)
     rises[:1] = True
@@ -107,7 +114,32 @@ def _state_changes(lengths, ratios, flat, n):
     np.minimum.accumulate(key, out=key)
     key += shift
     keep = np.flatnonzero(key == flat)
+    last = np.ones(keep.size, dtype=bool)
+    last[:-1] = lengths[keep[1:]] != lengths[keep[:-1]]
+    keep = keep[last]
     return lengths[keep], ratios[keep], flat[keep]
+
+
+def _merge(table, block):
+    """Two triples ``(lengths, ratios, flat)``, each in increasing chord,
+    merged into one in increasing chord; O(len) beyond a binary search per
+    entry of ``block``."""
+    at = np.searchsorted(table[0], block[0]) + np.arange(block[0].size)
+    into = np.ones(table[0].size + block[0].size, dtype=bool)
+    into[at] = False
+    merged = []
+    for old, new in zip(table, block):
+        m = np.empty(into.size, dtype=old.dtype)
+        m[into], m[at] = old, new
+        merged.append(m)
+    return merged
+
+
+def _diameter_bound(c):
+    """An upper bound on the diameter read in O(N): twice the largest
+    distance from the first vertex (the triangle inequality)."""
+    return 2.0 * float(np.sqrt(np.max(
+        np.sum((c.samples - c.samples[0]) ** 2, axis=1))))
 
 
 def _pair_table(c):
@@ -117,58 +149,71 @@ def _pair_table(c):
     Three arrays ``(chords, values, pairs)`` in increasing chord: the pairs
     i < j that become the running maximum of intrinsic/chord (ties to the
     lexicographically smallest pair) when the pairs are taken in chord
-    order, with their chords and ratios.  The local distortion at
-    scale r is then the last entry with chord <= 2r.  The ratios are read
-    row by row through :meth:`~knotgauge.curve.Curve.chord_rows` and
-    :meth:`~knotgauge.curve.Curve.intrinsic_rows`, so the build does not
-    make the curve hold its N x N intrinsic matrix.
+    order, the last of equal chords only, with their chords and ratios;
+    the table depends on the pairs alone.  The local distortion at
+    scale r is then the last entry with chord <= 2r.  The chords are read
+    once, block by block, through
+    :meth:`~knotgauge.curve.Curve.chord_blocks`, and the intrinsic
+    distances alongside into a borrowed work array, so the build keeps no
+    N x N array; on a curve that has had no full scan yet, it also takes
+    the embeddedness verdict and the diameter.
 
-    One pass over the row blocks merges each block into the table of the
-    rows before it.  A pair whose ratio is below that of a pair with a
+    One pass over the upper row blocks merges each block into the table of
+    the rows before it.  A pair whose ratio is below that of a pair with a
     smaller chord never becomes the running maximum, so it is dropped
     before any sort.  ``best_below[k]`` holds the best ratio among the
     pairs kept so far whose chord bucket ``int(chord * scale)``, with
-    scale = ``_CHORD_BUCKETS``/diameter, is below k; that index is
-    monotone in the chord, so each of those pairs has a smaller chord than
-    any pair in bucket k.  A block's pairs are filtered against the rows
-    before them, counted, and filtered again against each other; ties are
-    kept for the lexicographic tie-break.  Building costs O(N^2) filtering in row blocks of small
-    temporaries plus a sort of the survivors: about 80K of the 2.1M pairs
-    of a trefoil at N=2048, whose table holds 92 entries, but every pair
-    of a circle, whose ratio grows with the chord.  Raises
+    scale = ``_CHORD_BUCKETS`` over an upper bound on the diameter
+    (:func:`_diameter_bound`), is below k; that index is monotone in the
+    chord, so each of those pairs has a smaller chord than any pair in
+    bucket k, and any bound gives the same table.  A block's pairs are
+    filtered against the rows before them, counted, and filtered again
+    against each other; ties are kept for the lexicographic tie-break.
+    The survivors are sorted and reduced to their own state changes,
+    which are merged into the sorted table in linear time; the table is
+    never sorted again.  Building costs O(N^2) filtering in row blocks of
+    small temporaries plus a sort of each block's survivors: about 80K of
+    the 2.1M pairs of a trefoil at N=2048, whose table holds 92 entries,
+    but nearly every pair of a circle, whose ratio grows with the chord.
+    Raises
     :class:`~knotgauge.curve.EmbeddingError` on coincident samples.
     """
     n = c.n
-    scale = _CHORD_BUCKETS / c.diameter()
+    scale = _CHORD_BUCKETS / _diameter_bound(c)
     table = (np.empty(0), np.empty(0), np.empty(0, dtype=np.intp))
     best_below = np.full(_CHORD_BUCKETS + 2, -np.inf)
-    for b in row_blocks(n):
-        # columns right of the block's first row hold all its pairs i < j
-        lo = b.start + 1
-        chords = c.chord_rows(b)
-        lengths = chords[:, lo:]
-        # the diagonal's 0/0 is NaN, which no comparison keeps
-        with np.errstate(invalid="ignore"):
-            ratios = c.intrinsic_rows(b, slice(lo, n)) / lengths
-        buckets = (lengths * scale).astype(np.intp)
-        flat = np.flatnonzero(ratios >= best_below[buckets])
-        # block row and matrix column of each survivor, kept when i < j
-        row = flat // (n - lo)
-        col = flat - row * (n - lo) + lo
-        keep = col > row + b.start
-        flat = flat[keep]
-        local = row[keep] * n + col[keep]
-        # count the survivors, then drop those that others among them beat
-        r, k = ratios.ravel()[flat], buckets.ravel()[flat]
-        np.maximum.at(best_below, k + 1, r)
-        np.maximum.accumulate(best_below, out=best_below)
-        keep = r >= best_below[k]
-        local = local[keep]
-        table = _state_changes(
-            *(np.concatenate(p) for p in zip(table, (
-                chords.ravel()[local], r[keep], local + b.start * n))), n)
+    with work_arrays(1, n) as (work,):
+        for b, chords in c.chord_blocks():
+            # the block's columns b.start: hold all the pairs i < j of its rows
+            lo = b.start
+            width = n - lo
+            ratios = c.intrinsic_rows(
+                b, slice(lo, n), out=block_view(work, *chords.shape))
+            # the diagonal's 0/0 is NaN, which no comparison keeps
+            with np.errstate(invalid="ignore"):
+                ratios /= chords
+            buckets = (chords * scale).astype(np.intp)
+            flat = np.flatnonzero(ratios >= best_below[buckets])
+            # block row and column of each survivor, kept when i < j
+            row, col = np.divmod(flat, width)
+            keep = col > row
+            flat, row, col = flat[keep], row[keep], col[keep]
+            # count the survivors, then drop those that others among them
+            # beat
+            r, k = ratios.ravel()[flat], buckets.ravel()[flat]
+            np.maximum.at(best_below, k + 1, r)
+            np.maximum.accumulate(best_below, out=best_below)
+            keep = r >= best_below[k]
+            block = (chords.ravel()[flat[keep]], r[keep],
+                     (row[keep] + lo) * n + col[keep] + lo)
+            table = _running_state(
+                *_merge(table, _state_changes(*block, n)), n)
     lengths, ratios, flat = table
     return lengths, ratios, np.stack(np.divmod(flat, n), axis=1)
+
+
+def _cached_table(c):
+    return c.cached("pair_table", lambda: _pair_table(c))
 
 
 def local_distortion(c, r):
@@ -185,7 +230,7 @@ def local_distortion(c, r):
     """
     if not r > 0:
         raise ValueError(f"scale r must be positive (got {r})")
-    chords, values, pairs = c.cached("pair_table", lambda: _pair_table(c))
+    chords, values, pairs = _cached_table(c)
     k = int(np.searchsorted(chords, 2.0 * r, side="right")) - 1
     if k < 0:
         return 1.0, None
@@ -195,6 +240,7 @@ def local_distortion(c, r):
 
 def global_distortion(c):
     """Unrestricted distortion: the local distortion at scale diam/2."""
+    _cached_table(c)    # its scan also yields the diameter
     return local_distortion(c, c.diameter() / 2.0)
 
 
@@ -220,6 +266,10 @@ class DistortionProfile:
 
 
 def distortion_profile(c):
+    """The local distortion at every rung of :func:`scale_ladder`.  The
+    pair table is built first, so that its scan also yields the diameter
+    the ladder ends at."""
+    _cached_table(c)
     scales = scale_ladder(c)
     values = np.empty(LADDER_SIZE)
     pairs = []

@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import Curve, CurveError, resample_arclength, row_blocks
-from .distortion import certify_equivalence
+from .curve import (Curve, CurveError, block_view, outer_difference,
+                    resample_arclength, work_arrays)
+from .distortion import certify_equivalence, distortion_profile
 from .sobolev import bilip_constant
 
 
@@ -65,32 +66,55 @@ def _weights(c):
     return 0.5 * (np.roll(e, 1) + e)
 
 
-def _kernel_rows(c):
+def _kernel_rows(c, extra):
     """Per row block ``b`` of :func:`~knotgauge.curve.row_blocks`: ``b``,
-    the block's shorter-arc lengths with a unit diagonal, and its rows of
-    1/chord^2 and 1/arc^2 with zero diagonals.  All are fresh arrays, so
-    the curve's cached matrices are never written."""
-    for b in row_blocks(c.n):
-        diag = (np.arange(b.stop - b.start), np.arange(b.start, b.stop))
-        c2 = c.chord_rows(b) ** 2
-        arc = c.intrinsic_rows(b)
-        c2[diag] = 1.0
-        arc[diag] = 1.0
-        inv_c2 = np.reciprocal(c2, out=c2)
-        inv_a2 = 1.0 / arc**2
-        inv_c2[diag] = inv_a2[diag] = 0.0
-        yield b, arc, inv_c2, inv_a2
+    the block's chords, its arclength gaps |s_i - s_j|, its shorter-arc
+    lengths with a unit diagonal, its rows of 1/chord^2 and 1/arc^2 with
+    zero diagonals, and ``extra`` spare arrays of the block's shape.  All
+    are borrowed work arrays, overwritten by the next block, so a call
+    takes no fresh pages and the curve keeps nothing."""
+    n = c.n
+    s = c.cum_lengths()[:-1]
+    total = c.total_length()
+    with work_arrays(4 + extra, n) as work:
+        for b, chords in c.chord_blocks(upper=False):
+            m = b.stop - b.start
+            gaps, arc, inv_c2, inv_a2, *spare = (block_view(a, m, n)
+                                                 for a in work)
+            diag = (np.arange(m), np.arange(b.start, b.stop))
+            np.abs(outer_difference(s[b], s, gaps, arc), out=gaps)
+            np.minimum(gaps, np.subtract(total, gaps, out=arc), out=arc)
+            np.square(chords, out=inv_c2)
+            inv_c2[diag] = 1.0
+            arc[diag] = 1.0
+            np.reciprocal(inv_c2, out=inv_c2)
+            np.divide(1.0, np.square(arc, out=inv_a2), out=inv_a2)
+            inv_c2[diag] = inv_a2[diag] = 0.0
+            yield b, chords, gaps, arc, inv_c2, inv_a2, *spare
 
 
 def mobius_energy(c):
     """Discrete self-repulsion energy; nonnegative, zero only in the limit of
     vanishing curvature, scale and rigid-motion invariant.  Raises
-    :class:`~knotgauge.curve.EmbeddingError` on coincident samples."""
+    :class:`~knotgauge.curve.EmbeddingError` on coincident samples.
+
+    The same blocks give the largest intrinsic/chord ratio, which is
+    recorded with the curve as its bilipschitz constant
+    (:func:`~knotgauge.sobolev.bilip_constant`, the same value bit for
+    bit): a descent asks for it on every curve it accepts, and a pass of
+    its own would compute every chord again."""
     w = _weights(c)
     p = np.empty(c.n)
-    for b, _, inv_c2, inv_a2 in _kernel_rows(c):
+    top = -np.inf
+    for b, chords, _, arc, inv_c2, inv_a2, f in _kernel_rows(c, 1):
         # rows of the pair kernel F = 1/chord^2 - 1/arc^2, applied to w
-        p[b] = (inv_c2 - inv_a2) @ w
+        p[b] = np.subtract(inv_c2, inv_a2, out=f) @ w
+        # the diagonal's unit arc over a zero chord is no pair
+        with np.errstate(divide="ignore"):
+            ratio = np.divide(arc, chords, out=f)
+        ratio[np.arange(b.stop - b.start), np.arange(b.start, b.stop)] = 0.0
+        top = max(top, float(ratio.max()))
+    c.cached("bilip", lambda: top)
     return float(w @ p)
 
 
@@ -105,22 +129,21 @@ def mobius_gradient(c):
     q = c.samples
     w = _weights(c)
     u = c.tangents()
-    s = c.cum_lengths()[:-1]
     total = c.total_length()
     grad = np.empty((n, 3))
     p = np.empty(n)
     # circular difference array of the edge masses of the shorter arcs
     edge = np.empty(n)
     backward = 0.0
-    for b, arc, inv_c2, inv_a2 in _kernel_rows(c):
+    for b, _, gaps, arc, inv_c2, inv_a2, f, h in _kernel_rows(c, 2):
         wb = w[b]
-        p[b] = (inv_c2 - inv_a2) @ w
+        p[b] = np.subtract(inv_c2, inv_a2, out=f) @ w
 
         # chord part: d/dq_k of sum w_i w_j / C_ij^2 is
         # -4 w_k sum_j w_j (q_k - q_j) / C_kj^4.  Positions are taken from a
         # vertex of the block, so the near pairs, whose terms are largest,
         # cancel from small numbers.
-        inv_c4 = inv_c2 * inv_c2
+        inv_c4 = np.multiply(inv_c2, inv_c2, out=f)
         qb = q - q[(b.start + b.stop) // 2]
         grad[b] = -4.0 * wb[:, None] * ((inv_c4 @ w)[:, None] * qb[b]
                                         - inv_c4 @ (w[:, None] * qb))
@@ -134,18 +157,18 @@ def mobius_gradient(c):
         # splits the pair mass between them (sigma = 0: ties are common on
         # regular grids and a one-sided choice would break rigid
         # symmetries).  sigma is fwd where j > i and -fwd where j < i.
-        inv_a3 = inv_a2 / arc
-        short = 0.5 * total - np.abs(s[b, None] - s)
-        fwd = np.sign(short)
-        fwd[np.abs(short) <= 1e-9 * total] = 0.0
-        h = inv_a3 * fwd
+        inv_a3 = np.divide(inv_a2, arc, out=inv_a2)
+        short = np.subtract(0.5 * total, gaps, out=gaps)
+        fwd = np.sign(short, out=h)
+        fwd[np.abs(short, out=short) <= 1e-9 * total] = 0.0
+        h = np.multiply(inv_a3, fwd, out=h)
         lower = np.tril(h[:, b], -1) @ wb
         edge[b] = 4.0 * wb * (h[:, b.start:] @ w[b.start:]
                               - h[:, :b.start] @ w[:b.start] - 2.0 * lower)
         # the backward arc of a pair i < j wraps through edge 0 and carries
         # the share (1 - fwd)/2 of the pair mass; over both orders that is
         # sum w_i w_j (1 - fwd_ij) / D_ij^3
-        backward += wb @ ((inv_a3 - h) @ w)
+        backward += wb @ (np.subtract(inv_a3, h, out=inv_a3) @ w)
     edge[0] += backward
     a_edge = np.cumsum(edge)
     u_prev = np.roll(u, 1, axis=0)
@@ -325,13 +348,29 @@ def minimize_symmetric(cfg):
             cert = certify_equivalence(checkpoint, cur)
             certificates.append((it, cert))
             if not cert.passed:
-                raise DescentAborted(
-                    f"certificate failed at iteration {it}: "
-                    f"hausdorff {cert.hausdorff:.3e} vs scales "
-                    f"{cert.r1}, {cert.r2}")
+                raise DescentAborted(_abort_message(it, cert, checkpoint, cur))
             checkpoint = cur
     return MinimizeResult(states=states, curve=cur, status="ok",
                           certificates=certificates)
+
+
+def _abort_message(it, cert, checkpoint, cur):
+    """Why the certificate at iteration ``it`` failed: the threshold minus
+    the margin, then, for each curve with no profile rung below it, the
+    distortion of its lowest rung, or, when both have one, the Hausdorff
+    distance against a quarter of the smaller scale."""
+    thr = cert.threshold - cert.margin
+    head = (f"certificate failed at iteration {it}: threshold - margin "
+            f"{thr:.4f}")
+    missing = [f"{name} has no rung below it (lowest rung "
+               f"{distortion_profile(c).values[0]:.4f})"
+               for name, c, r in (("checkpoint", checkpoint, cert.r1),
+                                  ("current curve", cur, cert.r2))
+               if r is None]
+    if missing:
+        return f"{head}; " + "; ".join(missing)
+    return (f"{head}; hausdorff {cert.hausdorff:.3e} not below r/4 = "
+            f"{0.25 * min(cert.r1, cert.r2):.3e}")
 
 
 def _state(it, cur, energy, step, gmax, spec):

@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curve import (PAIR_BLOCK, WINDOW_SLACK, pair_ratio_range,
-                    pair_sq_distances, param_distance, row_blocks)
+from .curve import (PAIR_BLOCK, WINDOW_SLACK, block_view, outer_difference,
+                    pair_sq_distances, param_distance, work_arrays)
 from .distortion import LADDER_SIZE
 
 DEFAULT_BAND = 2
@@ -60,7 +60,7 @@ def _density_rows(c, rows, cols, band):
     without repeats.
 
     Fills the block a few rows at a time through two work arrays of about
-    ``PAIR_BLOCK`` entries each, with the chord build's kernel
+    ``PAIR_BLOCK`` entries each, with the chord scans' kernel
     :func:`~knotgauge.curve.pair_sq_distances`; every entry equals the full
     grid's bit for bit.
     """
@@ -78,8 +78,8 @@ def _density_rows(c, rows, cols, band):
             b = slice(lo, lo + step)
             ob = out[b]
             d, e = work[:, :ob.shape[0]]
-            pair_sq_distances(ur[:, b], uc, ob, d)
-            np.abs(np.subtract.outer(tr[b], tc, out=d), out=d)
+            pair_sq_distances(ur[:, b], uc, ob, (d, e))
+            np.abs(outer_difference(tr[b], tc, d, e), out=d)
             np.minimum(d, np.subtract(1.0, d, out=e), out=d)
             ob /= np.square(d, out=d)
             ob *= h
@@ -130,11 +130,28 @@ def bilip_constant(c):
 
     For an arclength-resampled curve the intrinsic distance is the scaled
     parameter distance, so 1/L is the infimum of chord over intrinsic
-    distance.  L >= pi/2 for any closed curve.  One row-block scan of all
-    pairs, cheaper than building the pair table that holds the same value;
-    raises :class:`~knotgauge.curve.EmbeddingError` on coincident samples.
+    distance.  L >= pi/2 for any closed curve.  Cached with the curve;
+    :func:`~knotgauge.mobius.mobius_energy` records it from its own pass.
+    Raises :class:`~knotgauge.curve.EmbeddingError` on coincident samples.
     """
-    return pair_ratio_range(c.intrinsic_rows, c.chord_rows, c.n)[1]
+    return c.cached("bilip", lambda: _bilip_scan(c))
+
+
+def _bilip_scan(c):
+    """One scan of the pairs i < j through
+    :meth:`~knotgauge.curve.Curve.chord_blocks` (the ratio is symmetric bit
+    for bit), cheaper than building the pair table that holds the same
+    value."""
+    top = -np.inf
+    with work_arrays(1, c.n) as (work,):
+        for b, chords in c.chord_blocks():
+            ratio = c.intrinsic_rows(b, slice(b.start, c.n),
+                                     out=block_view(work, *chords.shape))
+            # the diagonal's 0/0 is NaN, which fmax skips
+            with np.errstate(invalid="ignore"):
+                ratio /= chords
+            top = max(top, float(np.fmax.reduce(ratio, axis=None)))
+    return top
 
 
 # -- window sweeps -------------------------------------------------------------
@@ -146,7 +163,7 @@ def ball_halfwidth(r, n):
     return min(int(math.floor((r + WINDOW_SLACK) * n)), (n - 1) // 2)
 
 
-def ball_window_sums(density, ks):
+def ball_window_sums(density, ks, exclude=()):
     """Density mass of B_{k*h}(x_i) x B_{k*h}(x_i) for every center i.
 
     ``ks`` is a sequence of halfwidths k (a list, even for one of them),
@@ -158,11 +175,22 @@ def ball_window_sums(density, ks):
     most two index intervals, so each center costs O(1) and each halfwidth
     O(N) after the O(N^2) table.  The sums agree with direct summation to
     a few ulps of the total mass.
+
+    The rows and columns of the samples ``exclude`` count as zero, the same
+    sums bit for bit as over a copy of the density with them zeroed, but
+    without the copy: an excluded row's add is skipped, and an excluded
+    column's running sums are all zero.
     """
     n = density.shape[0]
+    exclude = np.asarray(exclude, dtype=np.intp)
+    skip = set(exclude.tolist())
     table = np.zeros((n + 1, n + 1))
     for i in range(n):
-        np.add(table[i, 1:], density[i], out=table[i + 1, 1:])
+        if i in skip:
+            table[i + 1, 1:] = table[i, 1:]
+        else:
+            np.add(table[i, 1:], density[i], out=table[i + 1, 1:])
+    table[:, exclude + 1] = 0.0
     np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
 
     def block(a, b, c, d):
@@ -217,10 +245,9 @@ def fractional_admissible_scale(c):
     rho = float(ladder[small[-1]])
     t = c.params()
     sigma = math.inf
-    for b in row_blocks(n):
-        far = param_distance(t[b, None], t) >= 2.0 * rho
-        sigma = min(sigma, float(np.min(c.chord_rows(b), where=far,
-                                        initial=math.inf)))
+    for b, chords in c.chord_blocks():
+        far = param_distance(t[b, None], t[b.start:]) >= 2.0 * rho
+        sigma = min(sigma, float(np.min(chords, where=far, initial=math.inf)))
     if sigma == math.inf:
         raise ConcentratedSeminormError(
             "no pairs beyond 2*rho; curve too coarse for the scale search")

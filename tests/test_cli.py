@@ -280,8 +280,9 @@ class TestMinimize:
                    "--n", "64", "--steps", "10"])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: certificate failed at iteration 10: hausdorff 1.000e-01 "
-            "vs scales None, None\n")
+            "error: certificate failed at iteration 10: threshold - margin "
+            "1.2082; checkpoint has no rung below it (lowest rung 13.3556); "
+            "current curve has no rung below it (lowest rung 11.6932)\n")
 
     def test_stalled_exit(self, monkeypatch, capsys):
         import knotgauge.mobius as mobius

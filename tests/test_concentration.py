@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from knotgauge.concentration import (EPSILON, ConcentrationError,
                                      offdiag_window_mass, pipeline,
                                      select_scale)
 from knotgauge.curve import param_distance
-from knotgauge.sobolev import bilip_constant
+from knotgauge.sobolev import (ball_halfwidth, ball_window_sums,
+                               bilip_constant, tangent_density)
 from knotgauge.substitution import SubstitutionError, theta4
 from util import curve_from_angles, kinked_track, unfiltered_good_sets
 
@@ -73,6 +75,29 @@ class TestDetect:
             r = rng.uniform(2 / n, gap / 4)
             mass = offdiag_window_mass(c, int(i), int(j), r)
             assert mass <= 64 * r**2 / gap**2 + 1e-12
+
+
+def test_excluded_members_sum_without_copy():
+    # the cluster members' rows and columns count as zero: the same sums bit
+    # for bit as over a zeroed copy, with one (N+1)^2 table at the peak
+    c, _, _ = kinked_track(2048, chi=0.7)
+    members = detect_concentrations(c).cluster_members
+    assert members.size
+    dens = tangent_density(c).density
+    ks = [ball_halfwidth(r, c.n) for r in np.geomspace(6 / 2048, 0.25, 12)]
+    zeroed = dens.copy()
+    zeroed[members, :] = 0.0
+    zeroed[:, members] = 0.0
+    want = ball_window_sums(zeroed, ks)
+    del zeroed
+    tracemalloc.start()
+    try:
+        got = ball_window_sums(dens, ks, exclude=members)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < 1.1 * 2049**2 * 8
 
 
 def test_coalesce_merges_run_across_zero():

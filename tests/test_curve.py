@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import knotgauge.curve as curve
 from knotgauge.curve import (COINCIDENCE_TOL, PAIR_BLOCK, Curve, CurveError,
                              EmbeddingError, circle, hausdorff_distance,
                              load_curve, param_distance,
                              point_to_polyline_distance, resample_arclength,
                              save_curve, wrap01)
-from knotgauge.mobius import torus_knot
-from knotgauge.sobolev import seminorm_sq
-from util import (dense_hausdorff_distance, dense_point_to_polyline_distance,
-                  fourier_curve, random_rotation, rigid_moved)
+from knotgauge.distortion import local_distortion
+from knotgauge.mobius import mobius_energy, torus_knot
+from knotgauge.sobolev import bilip_constant, seminorm_sq
+from util import (dense_hausdorff_distance, dense_mobius_energy,
+                  dense_point_to_polyline_distance, fourier_curve,
+                  random_rotation, rigid_moved)
 
 
 def test_needs_min_samples():
@@ -189,7 +192,7 @@ class TestChordBuild:
 
     def test_window_read_gathers_no_full_rows(self):
         c = torus_knot(2, 3, n=2048)
-        c.chord_matrix()
+        c.check_embedded()
         idx = np.arange(100, 400)
         tracemalloc.start()
         try:
@@ -199,6 +202,74 @@ class TestChordBuild:
             tracemalloc.stop()
         # the block is 0.7 MB; its 300 full rows would take 4.9 MB
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("n", [257, 2049])
+    def test_blocks_are_matrix_slices(self, n):
+        c = Curve(np.random.default_rng(n).normal(size=(n, 3)))
+        chord = c.chord_matrix()
+        for upper in (True, False):
+            rows = 0
+            for b, chords in c.chord_blocks(upper):
+                assert np.array_equal(chords,
+                                      chord[b, b.start if upper else 0:])
+                assert not chords.flags.writeable
+                rows += b.stop - b.start
+            assert rows == n
+
+    def test_rows_longer_than_a_block(self, monkeypatch):
+        # N above PAIR_BLOCK: one row per block, longer than the pool's
+        # arrays were; here N = 100 against a block of 64 entries
+        monkeypatch.setattr(curve, "PAIR_BLOCK", 64)
+        monkeypatch.setattr(curve, "_WORK", [np.empty(64)])
+        c = Curve(np.random.default_rng(100).normal(size=(100, 3)))
+        chord = c.chord_matrix()
+        for upper in (True, False):
+            for b, chords in c.chord_blocks(upper):
+                assert b.stop - b.start == 1
+                assert np.array_equal(chords,
+                                      chord[b, b.start if upper else 0:])
+        ref = Curve(c.samples)
+        assert mobius_energy(c) == pytest.approx(dense_mobius_energy(ref),
+                                                 rel=1e-12)
+        assert bilip_constant(c) == float(np.max(
+            ref.intrinsic_matrix()[np.triu_indices(100, 1)]
+            / chord[np.triu_indices(100, 1)]))
+
+    @pytest.mark.parametrize("upper", [True, False])
+    def test_scan_stops_before_coincident_block(self, upper):
+        # N = 257: rows 0-62 and 63-125 are clean, row 130 meets row 200
+        q = Curve(np.random.default_rng(5).normal(size=(257, 3))).samples
+        q = q.copy()
+        q[200] = q[130]
+        c = Curve(q)
+        seen = []
+        with pytest.raises(EmbeddingError):
+            for b, _ in c.chord_blocks(upper):
+                seen.append(b.start)
+        assert seen == [0, 63]
+        # the verdict is kept: a later scan yields nothing
+        assert c._cache["chords"] == (False, float(np.max(c.chord_matrix())))
+        with pytest.raises(EmbeddingError):
+            next(c.chord_blocks(upper))
+
+    @pytest.mark.parametrize("scan", [
+        lambda c: local_distortion(c, 1.0), bilip_constant, mobius_energy],
+        ids=["pair-table", "bilip", "energy"])
+    def test_first_scan_records_verdict(self, scan):
+        q = circle(257).samples.copy()
+        q[150] = q[20]
+        c = Curve(q)
+        with pytest.raises(EmbeddingError):
+            scan(c)
+        assert c._cache["chords"][0] is False
+        with pytest.raises(EmbeddingError):
+            c.check_embedded()
+
+    def test_first_scan_records_diameter(self):
+        # the pair table's scan takes the diameter, exactly the matrix max
+        c = torus_knot(2, 3, n=1024)
+        local_distortion(c, 0.1)
+        assert c._cache["chords"] == (True, float(np.max(c.chord_matrix())))
 
     def test_chord_rows_refuses_non_embedded(self):
         q = circle(64).samples.copy()

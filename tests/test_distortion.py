@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import knotgauge.distortion as distortion
 from knotgauge.curve import Curve, EmbeddingError, circle, row_blocks
 from knotgauge.distortion import (G_INF, _pair_table, arc_chord_ratio,
                                   certify_equivalence, distortion_angle,
@@ -248,9 +249,10 @@ class TestPairTable:
         # the ratio grows with the chord, so almost every pair passes the
         # filter
         lambda: circle(256),
+        lambda: circle(2048),
     ], ids=["torus23-257", "torus34-1000", "torus25-2049", "tiny-edge-257",
             "random-300", "random-181", "square-40", "square-64",
-            "circle-256"])
+            "circle-256", "circle-2048"])
     def test_matches_reference(self, make):
         c = make()
         assert len(row_blocks(c.n)) > 1
@@ -267,9 +269,25 @@ class TestPairTable:
         for r in two_r / 2.0:
             assert local_distortion(c, r) == local_distortion(ref, r), r
 
+    @pytest.mark.parametrize("make", [
+        lambda: torus_knot(2, 3, n=1000),
+        lambda: _lattice_square(40),
+        lambda: circle(2048),
+    ], ids=["torus23-1000", "square-40", "circle-2048"])
+    def test_bucket_width_from_any_bound(self, make, monkeypatch):
+        c = make()
+        assert distortion._diameter_bound(c) >= c.diameter()
+        got = _pair_table(make())
+        # buckets as wide as the exact diameter allows
+        monkeypatch.setattr(distortion, "_diameter_bound",
+                            lambda d: d.diameter())
+        want = _pair_table(make())
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
     def test_traced_peak(self):
         c = torus_knot(2, 3, n=2048)
-        c.chord_matrix()
+        c.check_embedded()
         c.cum_lengths()
         tracemalloc.start()
         try:
@@ -346,6 +364,23 @@ class TestCertificate:
         b = certify_equivalence(circle512, trefoil512)
         assert a.passed == b.passed
         assert a.hausdorff == pytest.approx(b.hausdorff, rel=1e-12)
+
+    def test_keeps_no_pair_matrix(self):
+        # one profile scan per curve and the Hausdorff distance; one
+        # N x N array would take 32 MB
+        a = torus_knot(2, 3, n=2048)
+        b = Curve(a.samples + 1e-6)
+        tracemalloc.start()
+        try:
+            cert = certify_equivalence(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.passed
+        assert peak < 2048**2 * 8
+        kept = [x for c in (a, b) for v in c._cache.values()
+                for x in (v if isinstance(v, tuple) else (v,))]
+        assert max(x.size for x in kept if isinstance(x, np.ndarray)) < 2048**2
 
     def test_scaled_copy_inconclusive(self, circle512):
         huge = Curve(1e6 * circle512.samples)

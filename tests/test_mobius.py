@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import knotgauge.mobius as mobius
-from knotgauge.curve import (Curve, CurveError, EmbeddingError, circle,
-                             resample_arclength)
+from knotgauge.curve import (PAIR_BLOCK, Curve, CurveError, EmbeddingError,
+                             circle, resample_arclength)
+from knotgauge.distortion import certify_equivalence
 from knotgauge.mobius import (MAX_HALVINGS, DescentAborted, MinimizeConfig,
                               SymmetrySpec, minimize_symmetric, mobius_energy,
                               mobius_gradient, symmetrize_curve,
@@ -63,6 +64,19 @@ class TestEnergy:
         for m in (trefoil512.chord_matrix(), trefoil512.intrinsic_matrix()):
             assert not m.flags.writeable
             assert np.all(np.diagonal(m) == 0.0)
+
+    @pytest.mark.parametrize("kernel", [mobius_energy, mobius_gradient])
+    def test_second_call_takes_no_block(self, kernel):
+        # the row blocks are borrowed work arrays, kept between calls
+        q = torus_knot(2, 5, n=256).samples
+        kernel(Curve(q))
+        tracemalloc.start()
+        try:
+            kernel(Curve(q))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < PAIR_BLOCK * 8
 
     def test_scale_invariance(self, trefoil512):
         scaled = Curve(3.0 * trefoil512.samples)
@@ -252,9 +266,19 @@ class TestMinimize:
         # sees the global distortion (about 13.4), so no rung is admissible
         cfg = MinimizeConfig(torus=(2, 3), p=3, m=2, n=64, steps=10)
         with pytest.raises(DescentAborted, match=re.escape(
-                "certificate failed at iteration 10: hausdorff 1.000e-01 "
-                "vs scales None, None")):
+                "certificate failed at iteration 10: threshold - margin "
+                "1.2082; checkpoint has no rung below it (lowest rung "
+                "13.3556); current curve has no rung below it (lowest rung "
+                "11.6932)")):
             minimize_symmetric(cfg)
+
+    def test_abort_message_names_hausdorff_gap(self, trefoil512):
+        cert = certify_equivalence(trefoil512, Curve(1e3 * trefoil512.samples))
+        assert cert.r1 is not None and cert.r2 is not None
+        assert mobius._abort_message(20, cert, trefoil512, None) == (
+            f"certificate failed at iteration 20: threshold - margin 1.2082; "
+            f"hausdorff {cert.hausdorff:.3e} not below r/4 = "
+            f"{0.25 * min(cert.r1, cert.r2):.3e}")
 
     def test_rejected_trials_stall(self, monkeypatch):
         energy, calls = mobius.mobius_energy, []

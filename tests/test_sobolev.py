@@ -6,6 +6,7 @@ import pytest
 
 from knotgauge.curve import Curve, circle, param_window, resample_arclength
 from knotgauge.distortion import local_distortion
+from knotgauge.mobius import mobius_energy
 from knotgauge.sobolev import (DEFAULT_BAND, ConcentratedSeminormError,
                                _density_rows, ball_halfwidth,
                                ball_window_sums, bilip_constant,
@@ -279,9 +280,19 @@ class TestBilipConstant:
         # a fresh curve for each side, so neither reads the other's cache
         assert bilip_constant(maker()) == _triu_bilip_constant(maker())
 
+    @pytest.mark.parametrize("maker", [
+        lambda: Curve(np.random.default_rng(31).normal(size=(31, 3))),
+        lambda: Curve(np.random.default_rng(257).normal(size=(257, 3))),
+        lambda: torus_knot_raw(2, 5, n=256),
+    ])
+    def test_energy_records_same_value(self, maker):
+        c = maker()
+        mobius_energy(c)
+        assert c._cache["bilip"] == bilip_constant(maker())
+
     def test_scan_memory(self):
         c = torus_knot_raw(2, 3, n=2048)
-        c.chord_matrix()
+        c.check_embedded()
         tracemalloc.start()
         try:
             bilip_constant(c)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,19 @@ class TestSubstitute:
         assert rep.intrinsic_ratio_min >= 1 - 2 * theta ** 0.125 - 1e-9
         assert 1 - 2 * theta ** 0.125 - 1e-9 <= rep.length_ratio <= 1 + 1e-9
         assert rep.bilip_modified <= 2 * rep.bilip_original
+
+    def test_builds_no_pair_matrix(self, track2048):
+        # the peak covers the unit-length working curves, whose caches go
+        # with them; one N x N array would take 32 MB
+        c, x = track2048
+        tracemalloc.start()
+        try:
+            rep = substitute(Curve(c.samples), [x], r=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.all_pass
+        assert peak < 2048**2 * 8
 
     def test_straight_window_unchanged(self):
         c, x = track_curve(n=1024, seed=None, cap_noise=0.0)
