@@ -18,13 +18,13 @@ import numpy as np
 
 from . import __version__
 from .concentration import EPSILON, ConcentrationError, pipeline
-from .curve import CurveError, load_curve, save_curve, write_csv
+from .curve import CurveError, load_curve, row_blocks, save_curve, write_csv
 from .distortion import (G_INF, certify_equivalence, distortion_profile,
                          distortion_threshold)
 from .flowfield import FlowError, flow
 from .mobius import DescentAborted, MinimizeConfig, minimize_symmetric
-from .sobolev import (ConcentratedSeminormError, fractional_admissible_scale,
-                      seminorm_sq, tangent_density)
+from .sobolev import (DEFAULT_BAND, ConcentratedSeminormError, _density_rows,
+                      fractional_admissible_scale, seminorm_sq)
 from .substitution import SubstitutionError, substitute
 
 
@@ -98,10 +98,7 @@ def _cmd_analyze(args):
             report["r_gamma"] = None
             report["seminorm_note"] = str(exc)
     if args.density:
-        density = tangent_density(c).density
-        ii, jj = np.nonzero(density)
-        write_csv(args.density, ["i", "j", "value"],
-                  zip(ii.tolist(), jj.tolist(), density[ii, jj].tolist()))
+        write_csv(args.density, ["i", "j", "value"], _density_entries(c))
     if args.out:
         _write_json(args.out, report)
     print(f"n={c.n} length={c.total_length():.6g} "
@@ -110,6 +107,17 @@ def _cmd_analyze(args):
         print(f"seminorm_sq={report['seminorm_sq']:.6f} "
               f"rho={report.get('rho')} r_gamma={report.get('r_gamma')}")
     return 0
+
+
+def _density_entries(c):
+    """The nonzero entries of the seminorm density as rows (i, j, value),
+    in row order, computed one block of rows at a time."""
+    idx = np.arange(c.n)
+    for b in row_blocks(c.n):
+        block = _density_rows(c, idx[b], idx, DEFAULT_BAND)
+        ii, jj = np.nonzero(block)
+        yield from zip((ii + b.start).tolist(), jj.tolist(),
+                       block[ii, jj].tolist())
 
 
 def _cmd_certify(args):
@@ -206,6 +214,7 @@ def _cmd_concentrate(args):
         "budget": rep.budget,
         "linf_reference": rep.linf_reference,
         "flags": rep.flags,
+        "notes": rep.notes,
         "certificate": rep.certificate.to_dict() if rep.certificate else None,
     })
     if args.report:

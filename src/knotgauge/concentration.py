@@ -24,7 +24,7 @@ from .curve import Curve, param_distance, param_window
 from .distortion import LADDER_SIZE, certify_equivalence, local_distortion
 from .sobolev import (DEFAULT_BAND, ConcentratedSeminormError, _density_rows,
                       ball_halfwidth, ball_window_sums, bilip_constant,
-                      fractional_admissible_scale, seminorm_sq, tangent_density)
+                      fractional_admissible_scale, seminorm_sq)
 from .substitution import _substitute, theta4
 
 #: concentration mass quantum: 2/3 - 6/pi^2 (makes 1/sqrt(1 - 3 eps/2) = pi/3)
@@ -67,10 +67,10 @@ def detect_concentrations(c):
     of representatives always satisfies the counting bound
     ``len <= ceil(total mass / EPSILON)`` because their windows are disjoint.
     """
-    grid = tangent_density(c)
     n = c.n
     k = DETECT_HALFWIDTH
-    masses = ball_window_sums(grid.density, [k])[0]
+    sums, total = ball_window_sums(c, [k])
+    masses = sums[0]
     flagged = np.where(masses > EPSILON)[0]
     reps = _coalesce(flagged, n, gap=2 * k)
     notes = []
@@ -87,7 +87,7 @@ def detect_concentrations(c):
                     params=[i / n for i in reps],
                     rep_masses=[float(masses[i]) for i in reps],
                     cluster_members=flagged, sample_masses=masses,
-                    total_mass=grid.total, warnings=notes)
+                    total_mass=total, warnings=notes)
     if len(det.indices) > det.cardinality_bound:
         raise ConcentrationError(
             f"counting bound violated: {len(det.indices)} representatives, "
@@ -188,8 +188,8 @@ def _annulus_prefix_scale(c, centers, ladder, theta):
 
 def _uniform_smallness_radius(c, detection, ladder):
     worst = ball_window_sums(
-        tangent_density(c).density, [ball_halfwidth(r, c.n) for r in ladder],
-        exclude=detection.cluster_members).max(axis=1)
+        c, [ball_halfwidth(r, c.n) for r in ladder],
+        exclude=detection.cluster_members).sums.max(axis=1)
     best = None
     for r, w in zip(ladder, worst):
         if float(w) <= 2.0 * EPSILON:
@@ -217,6 +217,7 @@ class ConcentrationReport:
     linf_reference: float | None
     certificate: object | None
     flags: dict = field(default_factory=dict)
+    notes: list = field(default_factory=list)
 
     @property
     def all_pass(self):
@@ -264,9 +265,7 @@ def pipeline(c, p, reference=None):
     r_gamma = None
     if ref is not None:
         try:
-            # on a copy: ``ref`` lives on to the certificate, and would
-            # otherwise hold its N x N density through the substitution
-            _, r_gamma = fractional_admissible_scale(Curve(ref.samples))
+            _, r_gamma = fractional_admissible_scale(ref)
         except ConcentratedSeminormError:
             r_gamma = None
     sel = select_scale(work, det, p, L, r_gamma=r_gamma)
@@ -275,11 +274,18 @@ def pipeline(c, p, reference=None):
     modified = rep.modified
 
     final_scale = sel.r_bar / (16.0 * L)
-    dist_final = local_distortion(modified, final_scale)[0]
+    dist_final, pair = local_distortion(modified, final_scale)
     flags = {
         "substitution": rep.all_pass,
-        "distortion": dist_final <= math.pi / 3.0 + DISTORTION_MARGIN,
+        "distortion": (pair is not None
+                       and dist_final <= math.pi / 3.0 + DISTORTION_MARGIN),
     }
+    notes = []
+    if pair is None:
+        notes.append(
+            f"final distortion compares no pair: 2r = {2.0 * final_scale:.3e} "
+            f"is below the shortest edge {modified.min_edge():.3e} of the "
+            f"unit-length modified curve")
     budget = sel.r_bar / (64.0 * L)
     linf_ref = None
     cert = None
@@ -294,4 +300,4 @@ def pipeline(c, p, reference=None):
         substitution=rep, modified=Curve(modified.samples * length),
         final_scale=final_scale, distortion_final=dist_final,
         distortion_margin=DISTORTION_MARGIN, budget=budget,
-        linf_reference=linf_ref, certificate=cert, flags=flags)
+        linf_reference=linf_ref, certificate=cert, flags=flags, notes=notes)

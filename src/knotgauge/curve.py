@@ -170,10 +170,10 @@ class Curve:
     validated once, at construction.  Every other derived quantity (edge
     lengths, cumulative arclength, tangents, the embeddedness verdict with
     the diameter, the intrinsic matrix, the pair table, the bilipschitz
-    constant, one tangent density per band, the KD-tree over the
-    vertices) is built lazily through :meth:`cached`.  No chord is kept: every scan computes its
-    blocks (:meth:`chord_blocks`).  Every array a curve keeps is
-    read-only.
+    constant, the seminorm's window sums at the ladder radii, the KD-tree
+    over the vertices) is built lazily through :meth:`cached`.  No chord
+    and no seminorm density is kept: every scan computes its blocks
+    (:meth:`chord_blocks`).  Every array a curve keeps is read-only.
     """
 
     def __init__(self, samples):
@@ -271,12 +271,22 @@ class Curve:
         or with ``cols`` (the same) its block ``np.ix_(rows, cols)``,
         computed alone, so that a caller scanning the pairs once needs no
         N x N array; written to ``out`` when given, else to a fresh array.
+        Built about ``PAIR_BLOCK`` entries at a time through one borrowed
+        work array (:func:`outer_difference`).
         """
         s = self.cum_lengths()[:-1]
-        d = np.subtract.outer(s[rows], s if cols is None else s[cols],
-                              out=out)
-        np.abs(d, out=d)
-        return np.minimum(d, self.total_length() - d, out=d)
+        r, c = s[rows], s if cols is None else s[cols]
+        if out is None:
+            out = np.empty((len(r), len(c)))
+        total = self.total_length()
+        step = max(1, PAIR_BLOCK // len(c))
+        with work_arrays(1, len(c)) as (work,):
+            for lo in range(0, len(r), step):
+                d = out[lo:lo + step]
+                e = block_view(work, *d.shape)
+                np.abs(outer_difference(r[lo:lo + step], c, d, e), out=d)
+                np.minimum(d, np.subtract(total, d, out=e), out=d)
+        return out
 
     def intrinsic_matrix(self):
         """N x N matrix of shorter-arc lengths between all sample pairs."""

@@ -1,8 +1,8 @@
-import ast
 import csv
-import importlib
+import importlib.util
 import json
 import math
+import tracemalloc
 from pathlib import Path
 from types import ModuleType
 
@@ -14,6 +14,7 @@ from knotgauge.cli import main
 from knotgauge.curve import Curve, circle, load_curve, save_curve
 from knotgauge.mobius import (MinimizeConfig, minimize_symmetric,
                               mobius_energy, torus_knot)
+from knotgauge.sobolev import tangent_density
 from util import kinked_track, track_curve, unfiltered_good_sets
 
 
@@ -51,8 +52,28 @@ class TestAnalyze:
         rc = main(["analyze", circle_file, "--density", str(dens)])
         assert rc == 0
         with dens.open() as fh:
-            header = fh.readline().strip()
-        assert header == "i,j,value"
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["i", "j", "value"]
+        # written block by block: the whole grid's nonzero entries, in row
+        # order, bit for bit
+        grid = tangent_density(load_curve(circle_file)).density
+        ii, jj = np.nonzero(grid)
+        assert [(int(i), int(j)) for i, j, _ in rows[1:]] == list(
+            zip(ii.tolist(), jj.tolist()))
+        assert [float(v) for _, _, v in rows[1:]] == grid[ii, jj].tolist()
+
+    def test_seminorm_memory(self, tmp_path):
+        # one N x N array of a 2048-gon takes 32 MB
+        path = str(tmp_path / "trefoil.json")
+        save_curve(torus_knot(2, 3, n=2048), path)
+        main(["analyze", path, "--seminorm"])
+        tracemalloc.start()
+        try:
+            assert main(["analyze", path, "--seminorm"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2048**2 * 8 / 4
 
     def test_command_is_the_argv_given(self, circle_file, tmp_path,
                                        monkeypatch):
@@ -334,8 +355,10 @@ class TestConcentrate:
                    "2", "--out", paths[2], "--report", paths[3]])
         assert rc == 1
         report = json.loads(Path(paths[3]).read_text())
-        assert report["flags"] == {"substitution": False, "distortion": True,
+        assert report["flags"] == {"substitution": False, "distortion": False,
                                    "budget": False, "certificate": True}
+        assert report["notes"][0].startswith(
+            "final distortion compares no pair")
         modified = load_curve(paths[2])
         assert modified.n == c.n
         assert not np.array_equal(modified.samples, c.samples)
@@ -375,14 +398,13 @@ def test_public_names():
 
 
 def test_traced_layers_resolve():
-    """Every name the benchmark's traced run wraps exists in knotgauge."""
-    tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    tree = ast.parse(tracing.read_text())
-    layers = next(ast.literal_eval(node.value) for node in tree.body
-                  if isinstance(node, ast.Assign)
-                  and [getattr(t, "id", None) for t in node.targets]
-                  == ["LAYERS"])
-    for layer, attrs in layers.items():
+    """Every name the benchmark's traced run wraps exists in knotgauge;
+    importing the tracer only defines it."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, attrs in tracing.LAYERS.items():
         module = importlib.import_module(f"knotgauge.{layer}")
         for attr in attrs:
             obj = module

@@ -12,7 +12,8 @@ from knotgauge.curve import param_distance
 from knotgauge.sobolev import (ball_halfwidth, ball_window_sums,
                                bilip_constant, tangent_density)
 from knotgauge.substitution import SubstitutionError, theta4
-from util import curve_from_angles, kinked_track, unfiltered_good_sets
+from util import (curve_from_angles, kinked_track, reference_window_sums,
+                  unfiltered_good_sets)
 
 
 def test_epsilon_value():
@@ -79,25 +80,40 @@ class TestDetect:
 
 def test_excluded_members_sum_without_copy():
     # the cluster members' rows and columns count as zero: the same sums bit
-    # for bit as over a zeroed copy, with one (N+1)^2 table at the peak
+    # for bit as over a zeroed copy of the density, which is never built
     c, _, _ = kinked_track(2048, chi=0.7)
     members = detect_concentrations(c).cluster_members
     assert members.size
-    dens = tangent_density(c).density
-    ks = [ball_halfwidth(r, c.n) for r in np.geomspace(6 / 2048, 0.25, 12)]
-    zeroed = dens.copy()
+    zeroed = tangent_density(c).density.copy()
     zeroed[members, :] = 0.0
     zeroed[:, members] = 0.0
-    want = ball_window_sums(zeroed, ks)
+    ks = [ball_halfwidth(r, c.n) for r in np.geomspace(6 / 2048, 0.25, 12)]
+    want = reference_window_sums(zeroed, ks)
     del zeroed
     tracemalloc.start()
     try:
-        got = ball_window_sums(dens, ks, exclude=members)
+        got = ball_window_sums(c, ks, exclude=members)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(got, want)
-    assert peak < 1.1 * 2049**2 * 8
+    assert np.array_equal(got.sums, want)
+    # the whole-circle total counts every sample
+    assert got.total == detect_concentrations(c).total_mass
+    assert peak < 2048**2 * 8 / 4
+
+
+def test_detection_memory():
+    # one N x N array of a 1024-gon takes 8 MB
+    c, _, _ = kinked_track(1024, chi=0.7)
+    detect_concentrations(c)
+    c, _, _ = kinked_track(1024, chi=0.7)
+    tracemalloc.start()
+    try:
+        assert detect_concentrations(c).indices
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024**2 * 8 / 4
 
 
 def test_coalesce_merges_run_across_zero():
@@ -179,11 +195,18 @@ class TestPipeline:
     def test_forced_endpoints_fail_verification(self, open_gate):
         # endpoints forced past the gate carry the kink's tilt of nu into
         # the substitution, whose verification then fails five flags; the
-        # final distortion, the budget and the certificate still run
+        # final distortion, the budget and the certificate still run.  The
+        # final distortion fails too: 2r = r_bar/(8 L) is under one edge
         c, ref, _ = kinked_track(1024, chi=0.7)
         rep = pipeline(c, p=2, reference=ref)
-        assert rep.flags == {"substitution": False, "distortion": True,
+        # the final scale is below the shortest edge: no pair to compare
+        assert rep.flags == {"substitution": False, "distortion": False,
                              "budget": False, "certificate": True}
+        assert rep.distortion_final == 1.0
+        assert len(rep.notes) == 1
+        assert rep.notes[0].startswith(
+            f"final distortion compares no pair: 2r = "
+            f"{2 * rep.final_scale:.3e} is below the shortest edge ")
         assert [k for k, ok in rep.substitution.flags.items() if not ok] == [
             "linf", "window_distortion", "intrinsic", "nu_delta",
             "difference_quotients"]

@@ -331,9 +331,25 @@ class TestIntrinsicDistance:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the block is 0.7 MB and one temporary like it; its 300 full rows
-        # would take 4.9 MB
+        # the block is 0.7 MB; its 300 full rows would take 4.9 MB
         assert peak < 2 << 20
+
+    def test_rows_written_to_out_allocate_nothing(self):
+        # np.subtract.outer took two 64 KB iterator buffers per call, and
+        # the shorter-arc minimum a fresh block
+        c = torus_knot(2, 3, n=256)
+        out = np.empty((64, 256))
+        c.intrinsic_rows(slice(0, 64), out=out)
+        want = out.copy()
+        tracemalloc.start()
+        try:
+            c.intrinsic_rows(slice(64, 128), out=out)
+            c.intrinsic_rows(slice(0, 64), out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, want)
+        assert peak < 4 << 10
 
 
 class TestHausdorff:

@@ -1,14 +1,15 @@
 import math
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
 
 from knotgauge.curve import Curve, circle, param_window, resample_arclength
-from knotgauge.distortion import local_distortion
+from knotgauge.distortion import LADDER_SIZE, local_distortion
 from knotgauge.mobius import mobius_energy
 from knotgauge.sobolev import (DEFAULT_BAND, ConcentratedSeminormError,
-                               _density_rows, ball_halfwidth,
+                               _density_rows, _PairwiseSum, ball_halfwidth,
                                ball_window_sums, bilip_constant,
                                fractional_admissible_scale, seminorm_sq,
                                tangent_density)
@@ -74,7 +75,7 @@ class TestSeminorm:
 
     def test_window_sums_match_masks(self, circle512):
         grid = tangent_density(circle512)
-        sums = ball_window_sums(grid.density, [10])[0]
+        sums = ball_window_sums(circle512, [10]).sums[0]
         m = np.zeros(512, dtype=bool)
         m[512 - 10:] = True
         m[:11] = True
@@ -95,21 +96,36 @@ class TestSeminorm:
     @pytest.mark.parametrize("n", [101, 128])
     @pytest.mark.parametrize("kind", ["seminorm", "asymmetric"])
     def test_window_sums_match_explicit(self, n, kind):
+        # the streamed sums of a curve, and the dense reference they are
+        # checked against on a density no curve has
+        ks = [0, 1, 4, n // 3, (n - 1) // 2]
         if kind == "seminorm":
-            density = tangent_density(torus_knot_raw(2, 3, 2.0, 0.5, n),
-                                      band=0).density
+            c = torus_knot_raw(2, 3, 2.0, 0.5, n)
+            density = tangent_density(c).density
+
+            def window_sums(ks):
+                return ball_window_sums(c, ks).sums
         else:
             density = np.random.default_rng(n).random((n, n))
+
+            def window_sums(ks):
+                return reference_window_sums(density, ks)
         total = density.sum()
-        ks = [0, 1, 4, n // 3, (n - 1) // 2]
-        sums = ball_window_sums(density, ks)
+        sums = window_sums(ks)
         for k, row in zip(ks, sums):
-            np.testing.assert_array_equal(row,
-                                          ball_window_sums(density, [k])[0])
+            np.testing.assert_array_equal(row, window_sums([k])[0])
             for i in range(n):
                 w = np.arange(i - k, i + k + 1) % n
                 assert abs(row[i] - density[np.ix_(w, w)].sum()) \
                     <= 1e-12 * total
+
+
+def _largest_cached(c):
+    """Entries of the largest array a curve keeps in its cache."""
+    values = chain.from_iterable(v if isinstance(v, tuple) else (v,)
+                                 for v in c._cache.values())
+    return max((v.size for v in values if isinstance(v, np.ndarray)),
+               default=0)
 
 
 def _noisy_trefoil(n):
@@ -148,11 +164,11 @@ class TestDensityKernel:
         if band == DEFAULT_BAND:
             for w in windows:
                 assert seminorm_sq(c, w) == float(ref[np.ix_(w, w)].sum())
-        assert ("tangent_density", band) not in c._cache
-
-        ks = [0, 1, 4, n // 3, (n - 1) // 2]
-        assert np.array_equal(ball_window_sums(ref, ks),
-                              reference_window_sums(ref, ks))
+            ks = [0, 1, 4, n // 3, (n - 1) // 2]
+            got = ball_window_sums(c, ks)
+            assert np.array_equal(got.sums, reference_window_sums(ref, ks))
+            assert got.total == float(ref.sum())
+        assert _largest_cached(c) < n * n
 
         # the wrapped, unsorted index blocks of offdiag_window_mass, and
         # blocks of scattered samples
@@ -168,18 +184,56 @@ class TestDensityKernel:
             assert block.sum() == ref[np.ix_(rows, cols)].sum()
 
 
+class TestStreamedSums:
+    @pytest.mark.parametrize("n", [257, 1000, 2048, 2049])
+    @pytest.mark.parametrize("excluded", [0, 40])
+    def test_matches_dense_table(self, n, excluded):
+        # the window sums and the total of one streamed pass equal those of
+        # the whole table and the whole grid bit for bit
+        c = _noisy_trefoil(n)
+        dens = reference_density(c, DEFAULT_BAND)
+        exclude = np.random.default_rng(n).choice(n, excluded, replace=False)
+        ks = [ball_halfwidth(r, n)
+              for r in np.geomspace(4.0 / n, 0.25, LADDER_SIZE)]
+        ks += [0, 1, n // 3, (n - 1) // 2, n]
+        got = ball_window_sums(c, ks, exclude=exclude)
+        assert np.array_equal(got.sums,
+                              reference_window_sums(dens, ks, exclude))
+        assert got.total == float(dens.sum())
+
+    @pytest.mark.parametrize("n", [37, 1000, 2049, 3001])
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("leaf", [None, 200])
+    def test_total_is_numpy_sum(self, monkeypatch, n, rows, leaf):
+        # entries of both signs over 16 orders of magnitude, so that another
+        # grouping of the additions shows in the last bits; small leaves
+        # leave many levels of the tree to the leaf sums
+        import knotgauge.sobolev as sobolev
+        if leaf is not None:
+            monkeypatch.setattr(sobolev, "SUM_LEAF", leaf)
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n)) * 10.0 ** rng.integers(0, 16, (n, n))
+        total = _PairwiseSum(a.size)
+        for lo in range(0, n, rows):
+            total.add(a[lo:lo + rows])
+        assert total.value() == float(a.sum())
+
+
 class TestDensityCache:
     def test_second_call_same_grid(self):
+        # built anew on each call, bit for bit the same
         c = circle(64)
-        assert tangent_density(c) is tangent_density(c)
+        first, second = tangent_density(c), tangent_density(c)
+        assert first is not second
+        assert np.array_equal(first.density, second.density)
+        assert first.total == second.total
 
-    def test_bands_cached_apart(self):
+    def test_bands_built_apart(self):
         c = torus_knot_raw(2, 3, n=64)
         g0, g2 = tangent_density(c, band=0), tangent_density(c, band=2)
-        assert g0 is not g2
         assert g0.total > g2.total
-        assert tangent_density(c, band=0) is g0
-        assert tangent_density(c) is g2
+        assert np.array_equal(tangent_density(c).density, g2.density)
+        assert _largest_cached(c) < c.n * c.n
 
     def test_density_read_only(self):
         density = tangent_density(circle(64)).density
@@ -187,20 +241,28 @@ class TestDensityCache:
             density[0, 5] = 1.0
 
     def test_one_build_per_curve(self, monkeypatch):
+        # the whole-circle total and the admissible scale read one pass,
+        # kept with the curve; a window computes its own block
+        import knotgauge.concentration as concentration
         import knotgauge.sobolev as sobolev
-        from knotgauge.concentration import detect_concentrations
-        build, builds = sobolev._density, []
+        stream, passes = sobolev.ball_window_sums, []
 
-        def counted(c, band):
-            builds.append(band)
-            return build(c, band)
+        def counted(c, ks, exclude=()):
+            passes.append(len(ks))
+            return stream(c, ks, exclude)
 
-        monkeypatch.setattr(sobolev, "_density", counted)
+        for module in (sobolev, concentration):
+            monkeypatch.setattr(module, "ball_window_sums", counted)
         c = circle(256)
         seminorm_sq(c, param_window(c.n, 0.25, 0.1))
+        assert passes == []
+        seminorm_sq(c)
         fractional_admissible_scale(c)
-        detect_concentrations(c)
-        assert builds == [2]
+        seminorm_sq(c)
+        assert passes == [LADDER_SIZE]
+        assert _largest_cached(c) < c.n * c.n
+        concentration.detect_concentrations(c)
+        assert passes == [LADDER_SIZE, 1]
 
     def test_window_builds_no_grid(self):
         # the N x N density of a 2048-gon alone takes 32 MB
@@ -212,7 +274,7 @@ class TestDensityCache:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert ("tangent_density", DEFAULT_BAND) not in c._cache
+        assert _largest_cached(c) < c.n * c.n
         assert peak < 4 << 20
 
     def test_substitute_builds_no_grid(self, monkeypatch):

@@ -303,29 +303,38 @@ def reference_density(c, band):
     return dens
 
 
-def reference_window_sums(density, k):
-    """Density mass of every center's window of halfwidth ``k`` (or of each
-    halfwidth in a sequence), from a summed-area table built by two
-    ``np.cumsum`` passes, down the columns first."""
+def reference_window_sums(density, ks, exclude=()):
+    """Density mass of every center's window for each halfwidth in ``ks``,
+    from the whole (N+1) x (N+1) summed-area table: running sums of the
+    density's rows, one row add each, then a cumulative sum along each row.
+    The rows and columns of ``exclude`` count as zero: an excluded row's add
+    is skipped and an excluded column's running sums are all zero."""
     n = density.shape[0]
+    exclude = np.asarray(exclude, dtype=np.intp)
+    skip = set(exclude.tolist())
     table = np.zeros((n + 1, n + 1))
-    np.cumsum(density, axis=0, out=table[1:, 1:])
+    for i in range(n):
+        if i in skip:
+            table[i + 1, 1:] = table[i, 1:]
+        else:
+            np.add(table[i, 1:], density[i], out=table[i + 1, 1:])
+    table[:, exclude + 1] = 0.0
     np.cumsum(table[1:, 1:], axis=1, out=table[1:, 1:])
 
     def block(a, b, c, d):
         return table[b, d] - table[a, d] - table[b, c] + table[a, c]
 
     centers = np.arange(n)
-    ks = np.atleast_1d(k)
-    sums = np.empty((ks.size, n))
-    for row, kk in zip(sums, ks):
-        if 2 * kk + 1 >= n:
+    sums = np.empty((len(ks), n))
+    for row, k in zip(sums, ks):
+        if 2 * k + 1 >= n:
             row[:] = table[n, n]
             continue
-        lo, hi = centers - kk, centers + kk + 1
+        lo, hi = centers - k, centers + k + 1
+        # [a1, b1) inside [0, N), [a2, b2) the part wrapped around 0
         a1, b1 = np.maximum(lo, 0), np.minimum(hi, n)
         a2 = np.where(lo < 0, lo + n, 0)
         b2 = np.where(lo < 0, n, np.maximum(hi - n, 0))
         row[:] = (block(a1, b1, a1, b1) + block(a1, b1, a2, b2)
                   + block(a2, b2, a1, b1) + block(a2, b2, a2, b2))
-    return sums[0] if np.ndim(k) == 0 else sums
+    return sums
