@@ -130,19 +130,6 @@ def pair_sq_distances(rows, cols, out, work):
     return out
 
 
-def pair_ratio_range(num_rows, den_rows, n):
-    """Extrema of num/den over the pairs i != j (i < j for symmetric
-    matrices) of two N x N matrices given by rows, ``num_rows(b)`` for each
-    block ``b`` of :func:`row_blocks`; the diagonal's 0/0 is NaN, skipped."""
-    lo, hi = np.inf, -np.inf
-    for b in row_blocks(n):
-        with np.errstate(invalid="ignore"):
-            ratio = num_rows(b) / den_rows(b)
-        lo = min(lo, float(np.fmin.reduce(ratio, axis=None)))
-        hi = max(hi, float(np.fmax.reduce(ratio, axis=None)))
-    return lo, hi
-
-
 def param_window(n, x, r, inner=None):
     """Membership of the samples t_i = i/N in the closed window around x.
 
@@ -289,7 +276,8 @@ class Curve:
         return out
 
     def intrinsic_matrix(self):
-        """N x N matrix of shorter-arc lengths between all sample pairs."""
+        """N x N matrix of shorter-arc lengths between all sample pairs; no
+        analysis reads it, but the tests and ``bench/tracing.py`` do."""
         def build():
             m = np.empty((self.n, self.n))
             for b in row_blocks(self.n):
@@ -324,6 +312,18 @@ class Curve:
             diameter = max(diameter, top)
             yield b, chords
         self.cached("chords", lambda: (True, diameter))
+
+    def pair_blocks(self):
+        """``(b, chords, arcs)`` for each block of :meth:`chord_blocks`,
+        each pair i < j once: its checked, read-only chords, and its
+        :meth:`intrinsic_rows` in one borrowed work array, which the caller
+        may overwrite, as the next block does.  How every intrinsic/chord
+        ratio scan reads its pairs."""
+        n = self.n
+        with work_arrays(1, n) as (work,):
+            for b, chords in self.chord_blocks():
+                yield b, chords, self.intrinsic_rows(
+                    b, slice(b.start, n), out=block_view(work, *chords.shape))
 
     def _chord_blocks(self, upper):
         """:meth:`chord_blocks` without the verdict."""
@@ -365,29 +365,11 @@ class Curve:
                     max(top for _, top in verdicts))
         return self.cached("chords", build)
 
-    def chord_rows(self, rows, cols=None):
-        """Rows ``rows`` (a slice or index array) of :meth:`chord_matrix`,
-        or with ``cols`` its block ``np.ix_(rows, cols)``, computed alone
-        and read-only: how a window of pairs reads chords.  Raises
-        :class:`EmbeddingError` on a curve that is not embedded."""
-        self.check_embedded()
-        xyz = self._q.T
-        r, c = xyz[:, rows], xyz if cols is None else xyz[:, cols]
-        out = np.empty((r.shape[1], c.shape[1]))
-        step = max(1, PAIR_BLOCK // c.shape[1])
-        with work_arrays(2, c.shape[1]) as work:
-            for lo in range(0, len(out), step):
-                ob = out[lo:lo + step]
-                pair_sq_distances(r[:, lo:lo + step], c, ob,
-                                  [block_view(a, *ob.shape) for a in work])
-        np.sqrt(out, out=out)
-        out.setflags(write=False)
-        return out
-
     def chord_matrix(self):
         """N x N matrix of euclidean vertex distances, built anew on each
         call from the blocks of :meth:`chord_blocks`, read-only; no
-        embeddedness check."""
+        embeddedness check.  No analysis reads it, but the tests and
+        ``bench/tracing.py`` do."""
         m = np.empty((self.n, self.n))
         for b, chords in self._chord_blocks(False):
             m[b] = chords

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from scipy.optimize import brentq
 
-from .curve import block_view, hausdorff_distance, work_arrays
+from .curve import hausdorff_distance
 
 #: threshold sequence limit: the distortion of a quarter circle
 G_INF = math.pi / math.sqrt(8.0)
@@ -152,9 +152,8 @@ def _pair_table(c):
     order, the last of equal chords only, with their chords and ratios;
     the table depends on the pairs alone.  The local distortion at
     scale r is then the last entry with chord <= 2r.  The chords are read
-    once, block by block, through
-    :meth:`~knotgauge.curve.Curve.chord_blocks`, and the intrinsic
-    distances alongside into a borrowed work array, so the build keeps no
+    once, block by block, with the intrinsic distances alongside, through
+    :meth:`~knotgauge.curve.Curve.pair_blocks`, so the build keeps no
     N x N array; on a curve that has had no full scan yet, it also takes
     the embeddedness verdict and the diameter.
 
@@ -182,32 +181,27 @@ def _pair_table(c):
     scale = _CHORD_BUCKETS / _diameter_bound(c)
     table = (np.empty(0), np.empty(0), np.empty(0, dtype=np.intp))
     best_below = np.full(_CHORD_BUCKETS + 2, -np.inf)
-    with work_arrays(1, n) as (work,):
-        for b, chords in c.chord_blocks():
-            # the block's columns b.start: hold all the pairs i < j of its rows
-            lo = b.start
-            width = n - lo
-            ratios = c.intrinsic_rows(
-                b, slice(lo, n), out=block_view(work, *chords.shape))
-            # the diagonal's 0/0 is NaN, which no comparison keeps
-            with np.errstate(invalid="ignore"):
-                ratios /= chords
-            buckets = (chords * scale).astype(np.intp)
-            flat = np.flatnonzero(ratios >= best_below[buckets])
-            # block row and column of each survivor, kept when i < j
-            row, col = np.divmod(flat, width)
-            keep = col > row
-            flat, row, col = flat[keep], row[keep], col[keep]
-            # count the survivors, then drop those that others among them
-            # beat
-            r, k = ratios.ravel()[flat], buckets.ravel()[flat]
-            np.maximum.at(best_below, k + 1, r)
-            np.maximum.accumulate(best_below, out=best_below)
-            keep = r >= best_below[k]
-            block = (chords.ravel()[flat[keep]], r[keep],
-                     (row[keep] + lo) * n + col[keep] + lo)
-            table = _running_state(
-                *_merge(table, _state_changes(*block, n)), n)
+    for b, chords, ratios in c.pair_blocks():
+        # the block's columns b.start: hold all the pairs i < j of its rows
+        lo = b.start
+        width = n - lo
+        # the diagonal's 0/0 is NaN, which no comparison keeps
+        with np.errstate(invalid="ignore"):
+            ratios /= chords
+        buckets = (chords * scale).astype(np.intp)
+        flat = np.flatnonzero(ratios >= best_below[buckets])
+        # block row and column of each survivor, kept when i < j
+        row, col = np.divmod(flat, width)
+        keep = col > row
+        flat, row, col = flat[keep], row[keep], col[keep]
+        # count the survivors, then drop those that others among them beat
+        r, k = ratios.ravel()[flat], buckets.ravel()[flat]
+        np.maximum.at(best_below, k + 1, r)
+        np.maximum.accumulate(best_below, out=best_below)
+        keep = r >= best_below[k]
+        block = (chords.ravel()[flat[keep]], r[keep],
+                 (row[keep] + lo) * n + col[keep] + lo)
+        table = _running_state(*_merge(table, _state_changes(*block, n)), n)
     lengths, ratios, flat = table
     return lengths, ratios, np.stack(np.divmod(flat, n), axis=1)
 

@@ -36,17 +36,18 @@ def _ball2(p, q):
 
 
 def _ball3(p, q, s):
-    """Circumcircle of a triangle in R^3 (degenerate cases fall back)."""
+    """Circumcircle of a triangle in R^3; falls back when collinear: the
+    sin^2 of its angle at p at most 1e-30, at any scale."""
     ax, ay, az = q[0] - p[0], q[1] - p[1], q[2] - p[2]
     bx, by, bz = s[0] - p[0], s[1] - p[1], s[2] - p[2]
     nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
     nn = nx * nx + ny * ny + nz * nz
-    if nn < 1e-30:
+    a2 = ax * ax + ay * ay + az * az
+    b2 = bx * bx + by * by + bz * bz
+    if nn <= 1e-30 * a2 * b2:
         # collinear: widest of the three two-point balls
         return max((_ball2(p, q), _ball2(p, s), _ball2(q, s)),
                    key=lambda b: b[1])
-    a2 = ax * ax + ay * ay + az * az
-    b2 = bx * bx + by * by + bz * bz
     wx, wy, wz = a2 * bx - b2 * ax, a2 * by - b2 * ay, a2 * bz - b2 * az
     ox = (wy * nz - wz * ny) / (2.0 * nn)
     oy = (wz * nx - wx * nz) / (2.0 * nn)
@@ -55,7 +56,8 @@ def _ball3(p, q, s):
 
 
 def _ball4(p, q, s, w):
-    """Circumsphere of four points; falls back to faces when degenerate."""
+    """Circumsphere of four points; falls back to faces when coplanar, at
+    |det| <= 1e-30 times the product of the row norms at any scale."""
     rows = []
     rhs = []
     for v in (q, s, w):
@@ -65,7 +67,7 @@ def _ball4(p, q, s, w):
     (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = rows
     det = (a11 * (a22 * a33 - a23 * a32) - a12 * (a21 * a33 - a23 * a31)
            + a13 * (a21 * a32 - a22 * a31))
-    if abs(det) < 1e-30:
+    if abs(det) <= 1e-30 * math.prod(math.hypot(*v) for v in rows):
         return max((_ball3(p, q, s), _ball3(p, q, w), _ball3(p, s, w),
                     _ball3(q, s, w)), key=lambda b: b[1])
     b1, b2, b3 = rhs
@@ -91,7 +93,9 @@ def enclosing_ball(points):
     """Smallest enclosing ball of points in R^3.
 
     Incremental Welzl with explicit support-set circumspheres; scalar
-    arithmetic since the point sets here are tiny.
+    arithmetic since the point sets here are tiny.  Meant for unit-scale
+    sets, as the direction sets are: with an absolute slack of 1e-12 on
+    r^2, a set within 1e-6 of its first point gets radius 0.
     """
     pts = np.asarray(points, dtype=float).tolist()
     center, r2 = pts[0], 0.0

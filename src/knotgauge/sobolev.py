@@ -51,7 +51,7 @@ def tangent_density(c, band=DEFAULT_BAND):
     """The N x N seminorm grid of an arclength-resampled curve, built anew
     on each call, read-only, and not kept.  No analysis reads it: every
     pass over the density streams its row blocks (:func:`ball_window_sums`).
-    """
+    Only the tests and ``bench/tracing.py`` call it."""
     idx = np.arange(c.n)
     dens = _density_rows(c, idx, idx, band)
     dens.setflags(write=False)
@@ -161,18 +161,15 @@ def bilip_constant(c):
 
 def _bilip_scan(c):
     """One scan of the pairs i < j through
-    :meth:`~knotgauge.curve.Curve.chord_blocks` (the ratio is symmetric bit
+    :meth:`~knotgauge.curve.Curve.pair_blocks` (the ratio is symmetric bit
     for bit), cheaper than building the pair table that holds the same
     value."""
     top = -np.inf
-    with work_arrays(1, c.n) as (work,):
-        for b, chords in c.chord_blocks():
-            ratio = c.intrinsic_rows(b, slice(b.start, c.n),
-                                     out=block_view(work, *chords.shape))
-            # the diagonal's 0/0 is NaN, which fmax skips
-            with np.errstate(invalid="ignore"):
-                ratio /= chords
-            top = max(top, float(np.fmax.reduce(ratio, axis=None)))
+    for _, chords, arcs in c.pair_blocks():
+        # the diagonal's 0/0 is NaN, which fmax skips
+        with np.errstate(invalid="ignore"):
+            arcs /= chords
+        top = max(top, float(np.fmax.reduce(arcs, axis=None)))
     return top
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import uniform_filter1d
 
-from .curve import (WINDOW_SLACK, Curve, arc_window, pair_ratio_range,
-                    param_distance, param_window, wrap01)
+from .curve import (WINDOW_SLACK, Curve, arc_window, block_view,
+                    param_distance, param_window, work_arrays, wrap01)
 from .sobolev import bilip_constant, seminorm_sq
 
 #: smallness ceiling for nonempty good sets
@@ -340,14 +340,13 @@ def _verify(work, mod, centers, endpoints, theta, r, L, dirs):
     linf = float(np.max(np.linalg.norm(work.samples - mod.samples, axis=1)))
     linf_ok = linf < 6.0 * t8 * r + VERIFY_SLACK
 
-    window_distortions = [
-        _window_distortion(mod, np.flatnonzero(arc_window(n, lo, hi)))
-        for x, (xm, xp) in zip(centers, endpoints)
-        for lo, hi in (((x - r) % 1.0, xp), (xm, (x + r) % 1.0))]
+    windows = [np.flatnonzero(arc_window(n, lo, hi))
+               for x, (xm, xp) in zip(centers, endpoints)
+               for lo, hi in ((x - r, xp), (xm, x + r))]
+    window_distortions, ratio_min, ratio_max, bilip_mod = _pair_checks(
+        work, mod, windows)
     wd_ok = all(v < 1.0 + 4.0 * t4 + VERIFY_SLACK for v in window_distortions)
 
-    ratio_min, ratio_max = pair_ratio_range(mod.intrinsic_rows,
-                                            work.intrinsic_rows, n)
     intrinsic_ok = (ratio_min >= 1.0 - 2.0 * t8 - VERIFY_SLACK
                     and ratio_max <= 1.0 + VERIFY_SLACK)
 
@@ -355,7 +354,6 @@ def _verify(work, mod, centers, endpoints, theta, r, L, dirs):
     length_ok = (1.0 - 2.0 * t8 - VERIFY_SLACK <= length_ratio
                  <= 1.0 + VERIFY_SLACK)
 
-    bilip_mod = bilip_constant(mod)
     bilip_ok = bilip_mod <= 2.0 * L + VERIFY_SLACK
 
     nu_delta_gaps = []
@@ -389,13 +387,36 @@ def _verify(work, mod, centers, endpoints, theta, r, L, dirs):
         annulus_seminorms=[md.annulus_seminorm for md in dirs], flags=flags)
 
 
-def _window_distortion(c, idx):
-    """Largest intrinsic/chord ratio over the pairs of samples ``idx`` of
-    ``c``; 1.0 for fewer than two samples."""
-    if idx.size < 2:
-        return 1.0
-    return pair_ratio_range(lambda b: c.intrinsic_rows(idx[b], idx),
-                            lambda b: c.chord_rows(idx[b], idx), idx.size)[1]
+def _pair_checks(work, mod, windows):
+    """Each window's largest intrinsic/chord ratio (1.0 below two
+    samples), the extrema of ``mod``'s intrinsic distances over ``work``'s
+    and ``mod``'s bilipschitz constant, from one pass over the pairs i < j
+    of ``mod`` (every ratio is symmetric bit for bit); the diagonal's 0/0
+    is NaN, which fmin and fmax skip."""
+    n = mod.n
+    worst = np.full(len(windows), -np.inf)
+    lo, hi, top = np.inf, -np.inf, -np.inf
+    with work_arrays(1, n) as (buf,):
+        for b, chords, arcs in mod.pair_blocks():
+            ratio = work.intrinsic_rows(b, slice(b.start, n),
+                                        out=block_view(buf, *arcs.shape))
+            with np.errstate(invalid="ignore"):
+                np.divide(arcs, ratio, out=ratio)
+                arcs /= chords
+            lo = min(lo, float(np.fmin.reduce(ratio, axis=None)))
+            hi = max(hi, float(np.fmax.reduce(ratio, axis=None)))
+            top = max(top, float(np.fmax.reduce(arcs, axis=None)))
+            for k, idx in enumerate(windows):
+                # the window's rows in b against its columns from b.start
+                first, stop = np.searchsorted(idx, (b.start, b.stop))
+                if stop > first:
+                    cols = idx[first:] - b.start
+                    worst[k] = np.fmax.reduce(
+                        arcs[np.ix_(cols[:stop - first], cols)], axis=None,
+                        initial=worst[k])
+    distortions = [float(w) if idx.size >= 2 else 1.0
+                   for w, idx in zip(worst, windows)]
+    return distortions, lo, hi, top
 
 
 def _difference_quotients_ok(work, x, r, nu, endpoint_idx, theta):

@@ -11,7 +11,7 @@ import pytest
 
 import knotgauge
 from knotgauge.cli import main
-from knotgauge.curve import Curve, circle, load_curve, save_curve
+from knotgauge.curve import circle, load_curve, save_curve
 from knotgauge.mobius import (MinimizeConfig, minimize_symmetric,
                               mobius_energy, torus_knot)
 from knotgauge.sobolev import tangent_density

@@ -179,30 +179,6 @@ class TestChordBuild:
         second.chord_matrix()
         assert second.diameter() == d
 
-    def test_chord_rows(self):
-        c = Curve(np.random.default_rng(9).normal(size=(257, 3)))
-        chord = c.chord_matrix()
-        idx = np.array([3, 7, 100, 256])
-        cols = np.array([0, 5, 200])
-        for got, want in ((c.chord_rows(slice(60, 130)), chord[60:130]),
-                          (c.chord_rows(idx), chord[idx]),
-                          (c.chord_rows(idx, cols), chord[np.ix_(idx, cols)])):
-            assert np.array_equal(got, want)
-            assert not got.flags.writeable
-
-    def test_window_read_gathers_no_full_rows(self):
-        c = torus_knot(2, 3, n=2048)
-        c.check_embedded()
-        idx = np.arange(100, 400)
-        tracemalloc.start()
-        try:
-            c.chord_rows(idx, idx)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the block is 0.7 MB; its 300 full rows would take 4.9 MB
-        assert peak < 1 << 20
-
     @pytest.mark.parametrize("n", [257, 2049])
     def test_blocks_are_matrix_slices(self, n):
         c = Curve(np.random.default_rng(n).normal(size=(n, 3)))
@@ -270,15 +246,6 @@ class TestChordBuild:
         c = torus_knot(2, 3, n=1024)
         local_distortion(c, 0.1)
         assert c._cache["chords"] == (True, float(np.max(c.chord_matrix())))
-
-    def test_chord_rows_refuses_non_embedded(self):
-        q = circle(64).samples.copy()
-        q[40] = q[10]
-        c = Curve(q)
-        for args in ((slice(0, 8),), (np.arange(3),),
-                     (np.arange(3), np.arange(3))):
-            with pytest.raises(EmbeddingError):
-                c.chord_rows(*args)
 
 
 class TestIntrinsicDistance:

@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from knotgauge.curve import Curve, circle
+from knotgauge.curve import Curve
 from knotgauge.distortion import (distortion_angle, distortion_threshold,
                                   find_admissible_scale, local_distortion,
                                   threshold_angle)
@@ -12,7 +12,7 @@ from knotgauge.flowfield import (FlowError, _ball3, _ball4, _cap_of,
                                  direction_set, direction_set_auto,
                                  enclosing_ball, flow, geodesic_cap_radius,
                                  vector_field)
-from util import rigid_moved, torus_knot_raw
+from util import torus_knot_raw
 
 G3 = distortion_threshold(3)
 
@@ -104,6 +104,28 @@ class TestEnclosingBall:
         center, r2 = _ball4(*(np.array(v) for v in pts))
         _assert_same_ball((np.array(center), math.sqrt(r2)), _brute_ball(pts))
         _assert_same_ball(enclosing_ball(pts), _brute_ball(pts))
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-8, 1e-4, 1.0, 1e3])
+    def test_degeneracy_does_not_scale(self, scale):
+        # a regular triangle and a regular tetrahedron get their circle and
+        # sphere at every scale; exactly collinear and cocircular points,
+        # whose cross product and determinant are 0, take the fallbacks
+        h = math.sqrt(3.0) / 2.0
+        tri = scale * np.array([[1.0, 0, 0], [-0.5, h, 0], [-0.5, -h, 0]])
+        tet = scale * np.array([[1.0, 1, 1], [1, -1, -1], [-1, 1, -1],
+                                [-1, -1, 1]])
+        line = scale * np.array([[0.0, 0, 0], [1, 1, 0], [3, 3, 0]])
+        ring = scale * np.array([[2.0 + 3.0 * math.cos(a),
+                                  -1.0 + 3.0 * math.sin(a), 0.0]
+                                 for a in (0.3, 1.9, 2.2, 4.0)])
+        for (center, r2), want, radius in (
+                (_ball3(*tri), [0.0, 0, 0], 1.0),
+                (_ball4(*tet), [0.0, 0, 0], math.sqrt(3.0)),
+                (_ball3(*line), [1.5, 1.5, 0], 1.5 * math.sqrt(2.0)),
+                (_ball4(*ring), [2.0, -1, 0], 3.0)):
+            assert math.sqrt(r2) == pytest.approx(scale * radius, rel=1e-12)
+            assert np.allclose(center, scale * np.array(want), rtol=0.0,
+                               atol=1e-12 * scale)
 
     def test_antipodal_cap_is_whole_sphere(self):
         dirs = np.array([[0.0, 0.6, 0.8], [0.0, -0.6, -0.8]])

@@ -7,7 +7,7 @@ import pytest
 
 import knotgauge.mobius as mobius
 from knotgauge.curve import (PAIR_BLOCK, Curve, CurveError, EmbeddingError,
-                             circle, resample_arclength)
+                             circle)
 from knotgauge.distortion import certify_equivalence
 from knotgauge.mobius import (MAX_HALVINGS, DescentAborted, MinimizeConfig,
                               SymmetrySpec, minimize_symmetric, mobius_energy,

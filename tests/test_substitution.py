@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,12 +9,11 @@ import pytest
 from knotgauge.curve import Curve, arc_window, circle
 from knotgauge.sobolev import bilip_constant
 from knotgauge.substitution import (FLAGS, THETA1, GoodSetError,
-                                    SubstitutionError,
-                                    _difference_quotients_ok, _signed_offset,
-                                    _window_distortion,
-                                    excess_field, good_sets, mean_direction,
-                                    substitute, theta3, theta4,
-                                    weak_type_check)
+                                    MeanDirection, SubstitutionError,
+                                    _difference_quotients_ok, _pair_checks,
+                                    _signed_offset, _verify, excess_field,
+                                    good_sets, mean_direction, substitute,
+                                    theta3, theta4, weak_type_check)
 from util import fourier_curve, kinked_track, track_curve
 
 
@@ -184,6 +184,23 @@ class TestSubstitute:
         assert rep.all_pass
         assert peak < 2048**2 * 8
 
+    def test_chords_computed_once_per_curve(self, track2048, monkeypatch):
+        # the unit-length working curve and the modified one each get one
+        # pass of chords: the modified curve's verdict, window distortions
+        # and bilipschitz constant come from the same pass
+        passes = Counter()
+        scan = Curve._chord_blocks
+
+        def counted(c, upper):
+            passes[c] += 1
+            return scan(c, upper)
+
+        monkeypatch.setattr(Curve, "_chord_blocks", counted)
+        c, x = track2048
+        rep = substitute(Curve(c.samples), [x], r=0.05)
+        assert rep.all_pass
+        assert list(passes.values()) == [1, 1]
+
     def test_straight_window_unchanged(self):
         c, x = track_curve(n=1024, seed=None, cap_noise=0.0)
         rep = substitute(c, [x], r=0.04)  # theta defaults to the ceiling/2
@@ -295,17 +312,83 @@ def test_signed_offset_array_matches_scalar_rule():
         assert np.all((got > -0.5) & (got <= 0.5))
 
 
+#: substitution radius of the _verify cases below
+R = 0.05
+
+
+def _verify_windows(case, n):
+    """(s, t, u) per center of a :func:`_verify` case at radius ``R``: the
+    center is s + R, and its windows are the shorter arcs from s to t and
+    from u to s + 2R."""
+    g, k = 1.0 / n, int(0.6 * n)
+    return {
+        "blocks": [(0.1, 0.4, 0.12)],       # across row-block boundaries
+        "wrapped": [(-0.03, 0.03, 0.0)],    # across 0
+        # off the grid: no sample in either window
+        "empty": [(100.5 * g, 100.5 * g, 100.5 * g + 2 * R)],
+        # one sample and two samples, each beside an empty window
+        "two-centers": [(7 * g, 7 * g, 7 * g + 2 * R),
+                        (k * g, (k + 1) * g, k * g + 2 * R)],
+    }[case]
+
+
+@pytest.fixture(scope="module")
+def pair_curves():
+    """Per N: a working curve, a modified one, the modified curve's
+    intrinsic and chord matrices, and the dense references of the least
+    and largest ratio of its intrinsic distances to the working curve's
+    and of its bilipschitz constant."""
+    made = {}
+
+    def make(n):
+        if n not in made:
+            work, mod = fourier_curve(4, n=n), fourier_curve(5, n=n)
+            ref = Curve(mod.samples)
+            arcs, chords = ref.intrinsic_matrix(), ref.chord_matrix()
+            # the diagonal's 0/0 is NaN
+            with np.errstate(invalid="ignore"):
+                ratio = arcs / Curve(work.samples).intrinsic_matrix()
+                bilip = np.nanmax(arcs / chords)
+            made[n] = (work, mod, arcs, chords,
+                       (np.nanmin(ratio), np.nanmax(ratio), bilip))
+        return made[n]
+    return make
+
+
 @pytest.mark.parametrize("idx", [
     [], [7], [7, 8], [7, 200], list(range(20, 60)),
     "wrapped",  # the shorter arc from 0.9 to 0.1, across 0
+    *(pytest.param((n, case), id=f"verify-{case}-{n}") for n in (256, 2049)
+      for case in ("blocks", "wrapped", "empty", "two-centers")),
 ])
-def test_window_distortion_matches_dense_reference(idx):
-    c = fourier_curve(5, n=256)
-    if idx == "wrapped":
-        idx = np.flatnonzero(arc_window(c.n, 0.9, 0.1))
-    idx = np.asarray(idx, dtype=int)
-    block = np.ix_(idx, idx)
-    iu = np.triu_indices(idx.size, k=1)
-    ratios = c.intrinsic_matrix()[block][iu] / c.chord_matrix()[block][iu]
-    want = float(ratios.max()) if ratios.size else 1.0
-    assert _window_distortion(c, idx) == want
+def test_window_distortion_matches_dense_reference(idx, pair_curves):
+    # the one pass over the modified curve's pairs gives what dense
+    # matrices give, exactly: each window's largest intrinsic/chord ratio,
+    # the intrinsic-distance extrema and the bilipschitz constant; read
+    # through _pair_checks for index windows, through _verify for centers
+    if isinstance(idx, tuple):
+        n, case = idx
+        work, mod, arcs, chords, extrema = pair_curves(n)
+        centers = [s + R for s, _, _ in _verify_windows(case, n)]
+        endpoints = [(u, t) for _, t, u in _verify_windows(case, n)]
+        dirs = [MeanDirection(np.array([1.0, 0.0, 0.0]), 1.0, 0.0, 0.0, 0.0,
+                              True, True)] * len(centers)
+        rep = _verify(work, mod, centers, endpoints, 1e-20, R, 2.0, dirs)
+        got = (rep.window_distortions, rep.intrinsic_ratio_min,
+               rep.intrinsic_ratio_max, rep.bilip_modified)
+        windows = [np.flatnonzero(arc_window(n, lo, hi))
+                   for x, (xm, xp) in zip(centers, endpoints)
+                   for lo, hi in ((x - R, xp), (xm, x + R))]
+    else:
+        work, mod, arcs, chords, extrema = pair_curves(256)
+        if idx == "wrapped":
+            idx = np.flatnonzero(arc_window(256, 0.9, 0.1))
+        windows = [np.asarray(idx, dtype=int)]
+        got = _pair_checks(work, mod, windows)
+    want = []
+    for w in windows:
+        block = np.ix_(w, w)
+        iu = np.triu_indices(w.size, k=1)
+        ratios = arcs[block][iu] / chords[block][iu]
+        want.append(float(ratios.max()) if ratios.size else 1.0)
+    assert got == (want, *extrema)
