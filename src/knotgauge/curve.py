@@ -156,11 +156,11 @@ class Curve:
     Vertices, edge vectors and squared edge lengths are computed and
     validated once, at construction.  Every other derived quantity (edge
     lengths, cumulative arclength, tangents, the embeddedness verdict with
-    the diameter, the intrinsic matrix, the pair table, the bilipschitz
-    constant, the seminorm's window sums at the ladder radii, the KD-tree
-    over the vertices) is built lazily through :meth:`cached`.  No chord
-    and no seminorm density is kept: every scan computes its blocks
-    (:meth:`chord_blocks`).  Every array a curve keeps is read-only.
+    the diameter, the intrinsic matrix, the distortion profile, the
+    bilipschitz constant, the seminorm's window sums at the ladder radii,
+    the KD-tree over the vertices) is built lazily through :meth:`cached`.
+    No chord and no seminorm density is kept: every scan computes its
+    blocks (:meth:`chord_blocks`).  Every array a curve keeps is read-only.
     """
 
     def __init__(self, samples):

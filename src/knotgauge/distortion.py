@@ -24,8 +24,8 @@ G_INF = math.pi / math.sqrt(8.0)
 #: number of rungs in every scale ladder
 LADDER_SIZE = 40
 
-#: chord buckets of the pair table's filter; at N=2048 256 and 1024 build
-#: the table alike, and 4096 already costs more than it filters out
+#: chord buckets of the rung scan's prefilter, up to the last limit; any
+#: count gives the same answers, and the count only moves the cost
 _CHORD_BUCKETS = 1024
 
 
@@ -85,129 +85,69 @@ def distortion_angle(delta):
 # -- local distortion ----------------------------------------------------------
 
 
-def _state_changes(lengths, ratios, flat, n):
-    """The pairs that become the running state when taken in chord order,
-    the last of each run of equal chords only.
+def _rung_maxima(c, limits):
+    """The largest intrinsic/chord ratio over the pairs i < j with chord <=
+    each of the ascending chord ``limits``, and the smallest flat index
+    i*N + j attaining it (the lexicographically smallest pair), -inf and -1
+    where no pair qualifies.
 
-    The state after a prefix is its largest intrinsic/chord ratio with the
-    smallest flat index i*N + j attaining it.  A pair outside the result is
-    beaten by one of no larger chord, so no prefix of whole chord values
-    (what a query sees) answers differently without it.  A query reads
-    only the last entry of equal chords, the state after all of them,
-    which does not depend on their order; so the result does not either,
-    and the faster unstable sort serves.
-    """
-    order = np.argsort(lengths)
-    return _running_state(lengths[order], ratios[order], flat[order], n)
+    One pass over :meth:`~knotgauge.curve.Curve.pair_blocks`, so no N x N
+    array is kept; on a curve that has had no full scan yet, it also takes
+    the embeddedness verdict and the diameter.  Each pair falls in the bin
+    of the first limit it meets, or in a sink past the last one that holds
+    +inf and is never read, and each bin keeps its largest ratio with the
+    first pair that reached it: a later block, whose rows are larger,
+    replaces it only with a strictly larger ratio, and inside a block the
+    first flat position wins, which is the pair i < j, ahead of its twin
+    (j, i).  A rung's answer is then the running maximum of the bins, with
+    the smallest kept index among the bins up to it that attain it.
 
-
-def _running_state(lengths, ratios, flat, n):
-    """:func:`_state_changes` of pairs already in increasing chord."""
-    best = np.maximum.accumulate(ratios)
-    rises = np.empty(best.size, dtype=bool)
-    rises[:1] = True
-    rises[1:] = ratios[1:] > best[:-1]
-    # smallest attaining flat index since the last rise: a running minimum
-    # over keys that every later rise lowers below all earlier keys
-    shift = np.cumsum(rises) * (n * n + 1)
-    key = np.where(ratios == best, flat, n * n) - shift
-    np.minimum.accumulate(key, out=key)
-    key += shift
-    keep = np.flatnonzero(key == flat)
-    last = np.ones(keep.size, dtype=bool)
-    last[:-1] = lengths[keep[1:]] != lengths[keep[:-1]]
-    keep = keep[last]
-    return lengths[keep], ratios[keep], flat[keep]
-
-
-def _merge(table, block):
-    """Two triples ``(lengths, ratios, flat)``, each in increasing chord,
-    merged into one in increasing chord; O(len) beyond a binary search per
-    entry of ``block``."""
-    at = np.searchsorted(table[0], block[0]) + np.arange(block[0].size)
-    into = np.ones(table[0].size + block[0].size, dtype=bool)
-    into[at] = False
-    merged = []
-    for old, new in zip(table, block):
-        m = np.empty(into.size, dtype=old.dtype)
-        m[into], m[at] = old, new
-        merged.append(m)
-    return merged
-
-
-def _diameter_bound(c):
-    """An upper bound on the diameter read in O(N): twice the largest
-    distance from the first vertex (the triangle inequality)."""
-    return 2.0 * float(np.sqrt(np.max(
-        np.sum((c.samples - c.samples[0]) ** 2, axis=1))))
-
-
-def _pair_table(c):
-    """The curve's pair table, which :func:`local_distortion` caches
-    read-only with it.
-
-    Three arrays ``(chords, values, pairs)`` in increasing chord: the pairs
-    i < j that become the running maximum of intrinsic/chord (ties to the
-    lexicographically smallest pair) when the pairs are taken in chord
-    order, the last of equal chords only, with their chords and ratios;
-    the table depends on the pairs alone.  The local distortion at
-    scale r is then the last entry with chord <= 2r.  The chords are read
-    once, block by block, with the intrinsic distances alongside, through
-    :meth:`~knotgauge.curve.Curve.pair_blocks`, so the build keeps no
-    N x N array; on a curve that has had no full scan yet, it also takes
-    the embeddedness verdict and the diameter.
-
-    One pass over the upper row blocks merges each block into the table of
-    the rows before it.  A pair whose ratio is below that of a pair with a
-    smaller chord never becomes the running maximum, so it is dropped
-    before any sort.  ``best_below[k]`` holds the best ratio among the
-    pairs kept so far whose chord bucket ``int(chord * scale)``, with
-    scale = ``_CHORD_BUCKETS`` over an upper bound on the diameter
-    (:func:`_diameter_bound`), is below k; that index is monotone in the
-    chord, so each of those pairs has a smaller chord than any pair in
-    bucket k, and any bound gives the same table.  A block's pairs are
-    filtered against the rows before them, counted, and filtered again
-    against each other; ties are kept for the lexicographic tie-break.
-    The survivors are sorted and reduced to their own state changes,
-    which are merged into the sorted table in linear time; the table is
-    never sorted again.  Building costs O(N^2) filtering in row blocks of
-    small temporaries plus a sort of each block's survivors: about 80K of
-    the 2.1M pairs of a trefoil at N=2048, whose table holds 92 entries,
-    but nearly every pair of a circle, whose ratio grows with the chord.
-    Raises
+    Most pairs are dropped before they are binned.  ``first[u]`` is the
+    first bin a pair of chord bucket u = int(chord * scale) can fall in
+    (rounding is monotone), so a pair whose ratio is at most ``need[u]``,
+    the running maximum of the earlier blocks' bins at ``first[u]``, is
+    beaten or tied by a pair of no larger chord and a smaller index.  Any
+    positive scale gives the same answer; this one puts the last limit at
+    ``_CHORD_BUCKETS`` and keeps every bucket finite, since no chord
+    exceeds half the length.  Raises
     :class:`~knotgauge.curve.EmbeddingError` on coincident samples.
     """
-    n = c.n
-    scale = _CHORD_BUCKETS / _diameter_bound(c)
-    table = (np.empty(0), np.empty(0), np.empty(0, dtype=np.intp))
-    best_below = np.full(_CHORD_BUCKETS + 2, -np.inf)
+    n, m = c.n, len(limits)
+    bins = np.full(m + 1, -np.inf)
+    bins[m] = np.inf
+    hits = np.full(m + 1, -1, dtype=np.intp)
+    length = c.total_length()
+    scale = _CHORD_BUCKETS / np.clip(limits[-1], 2.0**-40 * length, length)
+    first = np.searchsorted(limits * scale, np.arange(_CHORD_BUCKETS + 2))
+    need = np.maximum.accumulate(bins)[first]
     for b, chords, ratios in c.pair_blocks():
-        # the block's columns b.start: hold all the pairs i < j of its rows
-        lo = b.start
-        width = n - lo
         # the diagonal's 0/0 is NaN, which no comparison keeps
         with np.errstate(invalid="ignore"):
             ratios /= chords
         buckets = (chords * scale).astype(np.intp)
-        flat = np.flatnonzero(ratios >= best_below[buckets])
-        # block row and column of each survivor, kept when i < j
-        row, col = np.divmod(flat, width)
-        keep = col > row
-        flat, row, col = flat[keep], row[keep], col[keep]
-        # count the survivors, then drop those that others among them beat
-        r, k = ratios.ravel()[flat], buckets.ravel()[flat]
-        np.maximum.at(best_below, k + 1, r)
-        np.maximum.accumulate(best_below, out=best_below)
-        keep = r >= best_below[k]
-        block = (chords.ravel()[flat[keep]], r[keep],
-                 (row[keep] + lo) * n + col[keep] + lo)
-        table = _running_state(*_merge(table, _state_changes(*block, n)), n)
-    lengths, ratios, flat = table
-    return lengths, ratios, np.stack(np.divmod(flat, n), axis=1)
-
-
-def _cached_table(c):
-    return c.cached("pair_table", lambda: _pair_table(c))
+        cand = np.flatnonzero(ratios > need.take(buckets, mode="clip"))
+        if not cand.size:
+            continue
+        r = ratios.ravel()[cand]
+        k = np.searchsorted(limits, chords.ravel()[cand])
+        top = np.full(m + 1, -np.inf)
+        np.fmax.at(top, k, r)
+        rose = top > bins
+        if not rose.any():
+            continue
+        hit = np.flatnonzero(rose[k] & (r == top[k]))
+        got, at = np.unique(k[hit], return_index=True)
+        row, col = np.divmod(cand[hit[at]], n - b.start)
+        bins[got], hits[got] = top[got], (row + b.start) * n + col + b.start
+        need = np.maximum.accumulate(bins)[first]
+    values = np.maximum.accumulate(bins[:m])
+    flats = hits[:m].copy()
+    for k in range(1, m):
+        if bins[k] < values[k - 1]:
+            flats[k] = flats[k - 1]
+        elif bins[k] == values[k - 1]:
+            flats[k] = min(flats[k], flats[k - 1])
+    return values, flats
 
 
 def local_distortion(c, r):
@@ -215,26 +155,20 @@ def local_distortion(c, r):
 
     Supremum of intrinsic/chord over sample pairs with chord <= 2r;
     returns 1.0 with pair None when no pair qualifies.  Ties resolve to the
-    lexicographically smallest (i, j).
-
-    Reads the curve's pair table: the first call on a curve builds it,
-    O(N^2) filtering plus a sort of the pairs that pass (see
-    :func:`_pair_table`), and caches it read-only with the curve, and every
-    scale after that costs one ``searchsorted``, O(log N).
+    lexicographically smallest (i, j).  Each call is one
+    :func:`_rung_maxima` scan of the pairs, O(N^2), uncached.
     """
     if not r > 0:
         raise ValueError(f"scale r must be positive (got {r})")
-    chords, values, pairs = _cached_table(c)
-    k = int(np.searchsorted(chords, 2.0 * r, side="right")) - 1
-    if k < 0:
+    (value,), (flat,) = _rung_maxima(c, np.array([2.0 * r]))
+    if flat < 0:
         return 1.0, None
-    i, j = pairs[k]
-    return max(float(values[k]), 1.0), (int(i), int(j))
+    i, j = divmod(int(flat), c.n)
+    return max(float(value), 1.0), (i, j)
 
 
 def global_distortion(c):
     """Unrestricted distortion: the local distortion at scale diam/2."""
-    _cached_table(c)    # its scan also yields the diameter
     return local_distortion(c, c.diameter() / 2.0)
 
 
@@ -260,17 +194,16 @@ class DistortionProfile:
 
 
 def distortion_profile(c):
-    """The local distortion at every rung of :func:`scale_ladder`.  The
-    pair table is built first, so that its scan also yields the diameter
-    the ladder ends at."""
-    _cached_table(c)
-    scales = scale_ladder(c)
-    values = np.empty(LADDER_SIZE)
-    pairs = []
-    for k, r in enumerate(scales):
-        v, pair = local_distortion(c, r)
-        values[k] = v
-        pairs.append(pair)
+    """The local distortion at every rung of :func:`scale_ladder`, from one
+    :func:`_rung_maxima` scan at twice the rungs, cached with the curve.
+    On a curve that has had no full chord scan, the ladder's diameter takes
+    one of its own first."""
+    def build():
+        scales = scale_ladder(c)
+        values, flats = _rung_maxima(c, 2.0 * scales)
+        return scales, np.maximum(values, 1.0), flats
+    scales, values, flats = c.cached("profile", build)
+    pairs = [None if f < 0 else divmod(int(f), c.n) for f in flats]
     return DistortionProfile(scales=scales, values=values, pairs=pairs)
 
 

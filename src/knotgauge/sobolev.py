@@ -162,8 +162,9 @@ def bilip_constant(c):
 def _bilip_scan(c):
     """One scan of the pairs i < j through
     :meth:`~knotgauge.curve.Curve.pair_blocks` (the ratio is symmetric bit
-    for bit), cheaper than building the pair table that holds the same
-    value."""
+    for bit): one maximum over all pairs, cheaper than the binned rung
+    scan of :func:`~knotgauge.distortion.local_distortion` at an infinite
+    scale, which finds the same value."""
     top = -np.inf
     for _, chords, arcs in c.pair_blocks():
         # the diagonal's 0/0 is NaN, which fmax skips

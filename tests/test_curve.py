@@ -242,7 +242,8 @@ class TestChordBuild:
             c.check_embedded()
 
     def test_first_scan_records_diameter(self):
-        # the pair table's scan takes the diameter, exactly the matrix max
+        # a single-scale rung scan takes the diameter, exactly the matrix
+        # max
         c = torus_knot(2, 3, n=1024)
         local_distortion(c, 0.1)
         assert c._cache["chords"] == (True, float(np.max(c.chord_matrix())))

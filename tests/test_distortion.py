@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import knotgauge.distortion as distortion
 from knotgauge.curve import Curve, EmbeddingError, circle, row_blocks
-from knotgauge.distortion import (G_INF, _pair_table, arc_chord_ratio,
+from knotgauge.distortion import (G_INF, _rung_maxima, arc_chord_ratio,
                                   certify_equivalence, distortion_angle,
                                   distortion_profile, distortion_threshold,
                                   find_admissible_scale, global_distortion,
@@ -16,7 +16,8 @@ from knotgauge.distortion import (G_INF, _pair_table, arc_chord_ratio,
                                   threshold_angle)
 from knotgauge.mobius import mobius_energy, mobius_gradient, torus_knot
 from knotgauge.sobolev import bilip_constant, fractional_admissible_scale
-from util import reference_pair_table, rigid_moved, torus_knot_raw
+from util import (reference_pair_table, reference_rung_maxima, rigid_moved,
+                  torus_knot_raw)
 
 G3 = distortion_threshold(3)
 
@@ -88,7 +89,7 @@ class TestDistortionAngle:
 
 def _triu_local_distortion(c, r):
     """Reference: the direct scan of every pair i < j with 0 < chord <= 2r
-    that the pair table replaces."""
+    that the rung scan replaces."""
     chord = c.chord_matrix()
     intr = c.intrinsic_matrix()
     mask = (chord > 0.0) & (chord <= 2.0 * r)
@@ -190,8 +191,10 @@ class TestLocalDistortion:
         assert (prof.values[-1], prof.pairs[-1]) == global_distortion(c)
 
     def test_degenerate_small_scale(self, circle64):
-        v, pair = local_distortion(circle64, 1e-9)
-        assert v == 1.0 and pair is None
+        # at 1e-300 a chord over 2r would overflow any integer bucket
+        for r in (1e-9, 1e-300):
+            v, pair = local_distortion(circle64, r)
+            assert v == 1.0 and pair is None
 
     def test_collinear_pair_exactly_one(self):
         # at a scale where only collinear pairs qualify the ratio is exactly 1
@@ -232,8 +235,8 @@ def _lattice_square(side):
 
 
 class TestPairTable:
-    """The row-block build of the pair table against the one-shot
-    reference, on curves of several row blocks."""
+    """The rung scan against the pair table of the one-shot reference, on
+    curves of several row blocks."""
 
     @pytest.mark.parametrize("make", [
         lambda: torus_knot(2, 3, n=257),
@@ -246,8 +249,8 @@ class TestPairTable:
         # exact ties within and across row blocks
         lambda: _lattice_square(40),
         lambda: _lattice_square(64),
-        # the ratio grows with the chord, so almost every pair passes the
-        # filter
+        # the ratio grows with the chord, and every row holds the same
+        # chords and ratios up to rounding
         lambda: circle(256),
         lambda: circle(2048),
     ], ids=["torus23-257", "torus34-1000", "torus25-2049", "tiny-edge-257",
@@ -256,48 +259,108 @@ class TestPairTable:
     def test_matches_reference(self, make):
         c = make()
         assert len(row_blocks(c.n)) > 1
-        ref = Curve(c.samples)
-        want = ref.cached("pair_table", lambda: reference_pair_table(ref))
-        got = c.cached("pair_table", lambda: _pair_table(c))
-        # every chord of either table, its neighbours, and one scale below
-        # and one above all chords: the table's first entry is the
-        # smallest chord of the curve
-        chords = np.concatenate([want[0], got[0]])
-        two_r = np.concatenate([
+        table = reference_pair_table(Curve(c.samples))
+        # every chord of the table, its neighbours, and one limit below and
+        # one above all chords: the table's first entry is the smallest
+        # chord of the curve; one scan answers them all
+        chords = table[0]
+        limits = np.unique(np.concatenate([
             np.nextafter(chords, 0.0), chords, np.nextafter(chords, np.inf),
-            [want[0][0] / 2.0, 2.0 * c.diameter()]])
-        for r in two_r / 2.0:
-            assert local_distortion(c, r) == local_distortion(ref, r), r
+            [chords[0] / 2.0, 2.0 * c.diameter()]]))
+        values, flats = _rung_maxima(c, limits)
+        want_values, want_flats = reference_rung_maxima(table, limits)
+        assert np.all(values == want_values)
+        assert np.all(flats == want_flats)
+        assert flats[0] == -1
 
     @pytest.mark.parametrize("make", [
         lambda: torus_knot(2, 3, n=1000),
         lambda: _lattice_square(40),
         lambda: circle(2048),
     ], ids=["torus23-1000", "square-40", "circle-2048"])
-    def test_bucket_width_from_any_bound(self, make, monkeypatch):
+    def test_prefilter_keeps_every_answer(self, make, monkeypatch):
         c = make()
-        assert distortion._diameter_bound(c) >= c.diameter()
-        got = _pair_table(make())
-        # buckets as wide as the exact diameter allows
-        monkeypatch.setattr(distortion, "_diameter_bound",
-                            lambda d: d.diameter())
-        want = _pair_table(make())
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+        top = c.diameter()
+        chords = np.unique(c.chord_matrix())
+        chords = chords[np.linspace(0, chords.size - 1, 300).astype(int)]
+        # the edges of every bucket count below, under the scale the scan
+        # takes from its last limit, and their neighbours
+        counts = (1, 3, 1024, 2**16)
+        edges = np.concatenate([
+            np.arange(0, k + 1, max(1, k // 1024)) * (top / k)
+            for k in counts])
+        limits = np.unique(np.concatenate([
+            chords, edges, [top],
+            *(np.nextafter(x, y) for x in (chords, edges)
+              for y in (0.0, np.inf))]))
+        limits = limits[limits <= top]
+        answers = []
+        for k in counts:
+            monkeypatch.setattr(distortion, "_CHORD_BUCKETS", k)
+            answers.append(_rung_maxima(c, limits))
+        for values, flats in answers[1:]:
+            assert np.array_equal(values, answers[0][0])
+            assert np.array_equal(flats, answers[0][1])
+
+    def test_infinite_scale_is_global(self, trefoil512):
+        assert local_distortion(trefoil512, math.inf) == \
+            global_distortion(trefoil512)
 
     def test_traced_peak(self):
         c = torus_knot(2, 3, n=2048)
         c.check_embedded()
         c.cum_lengths()
+        limits = 2.0 * scale_ladder(c)
         tracemalloc.start()
         try:
-            _pair_table(c)
+            _rung_maxima(c, limits)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # a row block's temporaries are 128 KB each; one array over the
         # whole triangle would take 16 MB
         assert peak < 4 * 2**20
+
+
+class TestProfileScans:
+    """How many pair scans a profile takes."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Curves whose rungs :func:`_rung_maxima` scans and whose chords
+        :meth:`Curve._chord_blocks` computes, one entry per call."""
+        rungs, chords = [], []
+
+        def rung_maxima(c, limits):
+            rungs.append(c)
+            return _rung_maxima(c, limits)
+
+        def chord_blocks(c, upper):
+            chords.append(c)
+            return original(c, upper)
+
+        original = Curve._chord_blocks
+        monkeypatch.setattr(distortion, "_rung_maxima", rung_maxima)
+        monkeypatch.setattr(Curve, "_chord_blocks", chord_blocks)
+        return rungs, chords
+
+    def test_fresh_curve_takes_two_chord_passes(self, counted):
+        rungs, chords = counted
+        c = torus_knot(2, 3, n=512)
+        distortion_profile(c)
+        distortion_profile(c)
+        # the ladder's diameter, then the rungs
+        assert rungs == [c] and chords == [c, c]
+
+    def test_checkpoint_scans_each_curve_once(self, counted):
+        # the descent's checkpoint pattern: each iterate is certified
+        # against the previous one, then against the next
+        rungs, _ = counted
+        a, b, c = (torus_knot(2, 3, major_radius=R, n=256)
+                   for R in (2.0, 2.01, 2.02))
+        certify_equivalence(a, b)
+        certify_equivalence(b, c)
+        assert rungs == [a, b, c]
 
 
 def _figure_eight(n=512):

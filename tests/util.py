@@ -4,7 +4,6 @@ import numpy as np
 
 from knotgauge.curve import (PAIR_BLOCK, Curve, param_window,
                              resample_arclength, row_blocks)
-from knotgauge.distortion import _state_changes
 from knotgauge.substitution import GoodSets
 
 
@@ -127,20 +126,53 @@ def fourier_curve(seed, n=512, modes=5, amp=0.25):
 
 
 # -- reference pair table ------------------------------------------------------
-# The one-shot build the row-block filter of knotgauge.distortion._pair_table
-# replaced, kept as the reference its answers must equal.
+# An independent reference for knotgauge.distortion._rung_maxima: every pair
+# sorted by chord at once, from the dense matrices.
 
 
 def reference_pair_table(c):
-    """The pair table ``(chords, values, pairs)`` of ``c`` from one
-    ``_state_changes`` over every pair i < j, read from the dense
-    matrices."""
+    """The pair table ``(chords, values, flat)`` of ``c``: in increasing
+    chord, the pairs i < j that become the running maximum of
+    intrinsic/chord, ties to the smallest flat index i*N + j, when the
+    pairs are taken in chord order, the last of equal chords only.
+
+    A pair outside the table is beaten by one of no larger chord, so no
+    prefix of whole chord values answers differently without it.  An entry
+    is the state after all pairs of its chord, which does not depend on
+    their order, so the faster unstable sort serves.
+    """
     n = c.n
     i, j = np.triu_indices(n, k=1)
     lengths = c.chord_matrix()[i, j]
+    order = np.argsort(lengths)
+    i, j, lengths = i[order], j[order], lengths[order]
     ratios = c.intrinsic_matrix()[i, j] / lengths
-    lengths, ratios, flat = _state_changes(lengths, ratios, i * n + j, n)
-    return lengths, ratios, np.stack(np.divmod(flat, n), axis=1)
+    flat = i * n + j
+    best = np.maximum.accumulate(ratios)
+    rises = np.empty(best.size, dtype=bool)
+    rises[:1] = True
+    rises[1:] = ratios[1:] > best[:-1]
+    # smallest attaining flat index since the last rise: a running minimum
+    # over keys that every later rise lowers below all earlier keys
+    shift = np.cumsum(rises) * (n * n + 1)
+    key = np.where(ratios == best, flat, n * n) - shift
+    np.minimum.accumulate(key, out=key)
+    key += shift
+    keep = np.flatnonzero(key == flat)
+    last = np.ones(keep.size, dtype=bool)
+    last[:-1] = lengths[keep[1:]] != lengths[keep[:-1]]
+    keep = keep[last]
+    return lengths[keep], ratios[keep], flat[keep]
+
+
+def reference_rung_maxima(table, limits):
+    """What :func:`knotgauge.distortion._rung_maxima` returns, read off a
+    :func:`reference_pair_table`: the last entry with chord <= each
+    limit, or -inf and -1 before the first."""
+    lengths, ratios, flat = table
+    k = np.searchsorted(lengths, limits, side="right") - 1
+    return (np.where(k >= 0, ratios[k], -np.inf),
+            np.where(k >= 0, flat[k], -1))
 
 
 # -- dense reference energy and gradient ----------------------------------------
