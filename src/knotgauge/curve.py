@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from contextlib import contextmanager
+from functools import cached_property
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -41,6 +44,19 @@ NEAR_SLACK = 1e-12
 
 #: non-adjacent samples closer than this fraction of the length coincide
 COINCIDENCE_TOL = 1e-14
+
+#: most vertices a leaf of the index-interval tree holds
+TREE_LEAF = 16
+
+#: depth of the tree level where :func:`pair_search` starts, with every
+#: node pair of that level: hardly a node pair above it is ever dropped
+TREE_TOP = 4
+
+#: relative slack of every prune bound of :func:`pair_search`: a bound is
+#: loosened by this fraction of the magnitudes it is built from, far above
+#: the few-ulp rounding of the bound and of the chords, arcs and turning
+#: sums it bounds (N * 2^-53, about 2e-13 at N = 2048)
+TREE_SLACK = 1e-9
 
 
 class CurveError(ValueError):
@@ -106,17 +122,27 @@ def outer_difference(a, b, out, work):
     of shape (len(a), len(b)): two broadcast copies and one subtraction of
     whole arrays, the same values as ``np.subtract.outer`` but without the
     two 64 KB iterator buffers it takes on each call, and in about 70% of
-    its time for 2^14 entries."""
-    np.copyto(work, b)
-    np.copyto(out, a[:, None])
+    its time for 2^14 entries.  Leading axes batch: a of shape (P, m) and
+    b of shape (P, k) give P outer differences, of shape (P, m, k)."""
+    np.copyto(work, b[..., None, :])
+    np.copyto(out, a[..., None])
     return np.subtract(out, work, out=out)
+
+
+def periodic_gaps(a, b, total, out, work):
+    """min(|a_i - b_j|, total - |a_i - b_j|) for every i, j, written to
+    ``out`` through ``work`` as in :func:`outer_difference`: the shorter
+    arcs between arclength positions on a loop of length ``total``, or,
+    with total 1, :func:`param_distance` of parameters in [0, 1)."""
+    np.abs(outer_difference(a, b, out, work), out=out)
+    return np.minimum(out, np.subtract(total, out, out=work), out=out)
 
 
 def pair_sq_distances(rows, cols, out, work):
     """Squared distances |p_i - q_j|^2 between the points p of ``rows`` and
     q of ``cols``, each given as its three coordinate arrays (x, y, z),
     written to ``out`` through the two arrays ``work``, all of shape
-    (len(p), len(q)).
+    (len(p), len(q)), or batched as in :func:`outer_difference`.
 
     Summed as (dx^2 + dz^2) + dy^2, the order of an einsum over the
     (rows, cols, 3) differences, so every entry and the reports built on
@@ -156,9 +182,10 @@ class Curve:
     Vertices, edge vectors and squared edge lengths are computed and
     validated once, at construction.  Every other derived quantity (edge
     lengths, cumulative arclength, tangents, the embeddedness verdict with
-    the diameter, the intrinsic matrix, the distortion profile, the
-    bilipschitz constant, the seminorm's window sums at the ladder radii,
-    the KD-tree over the vertices) is built lazily through :meth:`cached`.
+    the diameter, the intrinsic matrix, the distortion profile, each
+    certificate's rung, the bilipschitz constant, the seminorm's window
+    sums at the ladder radii, the KD-tree and the index-interval tree over
+    the vertices) is built lazily through :meth:`cached`.
     No chord and no seminorm density is kept: every scan computes its
     blocks (:meth:`chord_blocks`).  Every array a curve keeps is read-only.
     """
@@ -227,8 +254,9 @@ class Curve:
         return float(self.cum_lengths()[-1])
 
     def diameter(self):
-        """Largest pairwise vertex distance, taken by the first full chord
-        scan (see :meth:`chord_blocks`)."""
+        """Largest pairwise vertex distance: taken by the first full chord
+        scan (see :meth:`chord_blocks`), or, when none has run, by a search
+        of :meth:`interval_tree` (see :meth:`_chords`)."""
         return self._chords()[1]
 
     def min_edge(self):
@@ -249,7 +277,8 @@ class Curve:
     def check_embedded(self):
         """Raise :class:`EmbeddingError` when a non-adjacent chord is at most
         ``COINCIDENCE_TOL`` times the length, as found by the first full
-        chord scan (see :meth:`chord_blocks`)."""
+        chord scan (see :meth:`chord_blocks`), or, when none has run, by a
+        search of :meth:`interval_tree` (see :meth:`_chords`)."""
         if not self._chords()[0]:
             raise EmbeddingError("not embedded: non-adjacent samples coincide")
 
@@ -270,9 +299,8 @@ class Curve:
         with work_arrays(1, len(c)) as (work,):
             for lo in range(0, len(r), step):
                 d = out[lo:lo + step]
-                e = block_view(work, *d.shape)
-                np.abs(outer_difference(r[lo:lo + step], c, d, e), out=d)
-                np.minimum(d, np.subtract(total, d, out=e), out=d)
+                periodic_gaps(r[lo:lo + step], c, total, d,
+                              block_view(work, *d.shape))
         return out
 
     def intrinsic_matrix(self):
@@ -294,11 +322,12 @@ class Curve:
         overwrites it.  How every pair scan reads chords: no N x N array is
         built.
 
-        The first full scan of a curve also takes its embeddedness verdict
-        and diameter, each block's while it is hot.  A block holding a
-        coincident non-adjacent pair raises :class:`EmbeddingError` before
-        it is handed out, so no ratio ever sees that pair; so does every
-        scan of a curve already found not embedded.
+        The first full scan of a curve that has no verdict yet also takes
+        its embeddedness verdict and diameter, each block's while it is
+        hot.  A block holding a coincident non-adjacent pair raises
+        :class:`EmbeddingError` before it is handed out, so no ratio ever
+        sees that pair; so does every scan of a curve already found not
+        embedded, by a scan or by :meth:`_chords`' tree search.
         """
         if "chords" in self._cache:
             self.check_embedded()
@@ -356,14 +385,30 @@ class Curve:
 
     def _chords(self):
         """The cache entry ``(embedded, diameter)``: recorded by the first
-        full :meth:`chord_blocks` scan, or, when none has run, by a pass
-        over the upper blocks of its own."""
+        full :meth:`chord_blocks` scan, or, when none has run, by two
+        :func:`pair_search` queries, the smallest non-adjacent chord up to
+        ``COINCIDENCE_TOL`` times the length and the largest chord.  Both
+        compare the scan's own chords, so they give its verdict and its
+        float."""
         def build():
-            verdicts = [self._block_verdict(b, True, chords)
-                        for b, chords in self._chord_blocks(True)]
-            return (all(ok for ok, _ in verdicts),
-                    max(top for _, top in verdicts))
+            n = self.n
+            limit = COINCIDENCE_TOL * self.total_length()
+            closest = pair_search(
+                self, lambda pairs: pairs.near,
+                lambda chords, seps, best: min(best, float(np.min(
+                    chords, where=seps > 1, initial=math.inf))),
+                math.nextafter(limit, math.inf),
+                positions=(np.arange(n, dtype=float), float(n)))
+            diameter = pair_search(
+                self, lambda pairs: pairs.far,
+                lambda chords, _, best: max(best, float(chords.max())),
+                -math.inf, largest=True)
+            return closest > limit, diameter
         return self.cached("chords", build)
+
+    def interval_tree(self):
+        """The curve's :class:`IntervalTree`, built on first request."""
+        return self.cached("interval_tree", lambda: _interval_tree(self))
 
     def chord_matrix(self):
         """N x N matrix of euclidean vertex distances, built anew on each
@@ -384,6 +429,225 @@ class Curve:
     def index_of_param(self, x):
         """Nearest sample index to the parameter x in [0, 1)."""
         return int(round(wrap01(x) * self.n)) % self.n
+
+
+# -- branch and bound over vertex pairs ------------------------------------------
+
+class IntervalTree(NamedTuple):
+    """Halvings of the vertex indices [0, N) down to leaves of at most
+    ``TREE_LEAF`` vertices, in heap order: node 1 is [0, N), node k at
+    depth d is [(k - 2^d) N >> d, (k - 2^d + 1) N >> d), its children are
+    2k and 2k + 1, and entry 0 is unused.  Each node holds its index range
+    ``start:stop``, the centroid of its vertices, the largest distance of
+    one from it, and the arclength positions of its first and last
+    vertex; ``turning`` is the prefix sum of the turning angles
+    atan2(|e_{v-1} x e_v|, e_{v-1} . e_v) between the edge vectors into
+    and out of each vertex v (entry v sums the angles before vertex v)."""
+    start: np.ndarray
+    stop: np.ndarray
+    center: np.ndarray
+    radius: np.ndarray
+    arc_first: np.ndarray
+    arc_last: np.ndarray
+    turning: np.ndarray
+
+
+def _tree_depth(n):
+    """Depth of the leaves of an :class:`IntervalTree` over N vertices."""
+    depth = 0
+    while n > TREE_LEAF << depth:
+        depth += 1
+    return depth
+
+
+def _interval_tree(c):
+    """Build the :class:`IntervalTree` of ``c``, one level at a time."""
+    n, q = c.n, c.samples
+    depth = _tree_depth(n)
+    size = 2 << depth
+    start, stop = np.zeros(size, np.intp), np.zeros(size, np.intp)
+    center, radius = np.zeros((size, 3)), np.zeros(size)
+    for d in range(depth + 1):
+        k = np.arange(1 << d)
+        lo, hi = (k * n) >> d, ((k + 1) * n) >> d
+        nodes = slice(1 << d, 2 << d)
+        start[nodes], stop[nodes] = lo, hi
+        center[nodes] = np.add.reduceat(q, lo) / (hi - lo)[:, None]
+        w = q - np.repeat(center[nodes], hi - lo, axis=0)
+        radius[nodes] = np.maximum.reduceat(
+            np.sqrt(np.einsum("ij,ij->i", w, w)), lo)
+    # edge vectors, not the cached tangents: a tangent array cached here,
+    # amid the transients above, fragmented the heap and raised the peak
+    # RSS of a run of certify jobs by about 0.7 MB
+    e = c.edge_vectors()
+    prev = np.roll(e, 1, axis=0)
+    angles = np.arctan2(np.linalg.norm(np.cross(prev, e), axis=1),
+                        np.einsum("ij,ij->i", prev, e))
+    s = c.cum_lengths()
+    return IntervalTree(start, stop, center, radius, s[start], s[stop - 1],
+                        np.concatenate([[0.0], np.cumsum(angles)]))
+
+
+class NodePairs:
+    """Node pairs (I, J) of one level of a curve's :class:`IntervalTree`,
+    heap indices ``a`` <= ``b``, so that I comes before J or is J, with
+    bounds over their vertex pairs, each computed on first use and loosened
+    by ``TREE_SLACK``."""
+
+    def __init__(self, c, a, b):
+        self.c, self.tree, self.a, self.b = c, c.interval_tree(), a, b
+
+    @cached_property
+    def _balls(self):
+        """The distance between the centroids and the sum of the radii."""
+        t = self.tree
+        d = t.center[self.a] - t.center[self.b]
+        return (np.sqrt(np.einsum("ij,ij->i", d, d)),
+                t.radius[self.a] + t.radius[self.b])
+
+    @cached_property
+    def near(self):
+        """Lower bound of the chords: |c_I - c_J| - rho_I - rho_J."""
+        dist, rad = self._balls
+        return dist - rad - TREE_SLACK * (dist + rad)
+
+    @cached_property
+    def far(self):
+        """Upper bound of the chords: |c_I - c_J| + rho_I + rho_J."""
+        dist, rad = self._balls
+        return (dist + rad) * (1.0 + TREE_SLACK)
+
+    @cached_property
+    def ratio(self):
+        """Upper bound of intrinsic/chord, the smaller of two:
+
+        - the shorter arc over :attr:`near`: with the forward arcs from I
+          to J in [d_min, d_max], the shorter arc is at most
+          min(d_max, L - d_min);
+        - the turning bound 1/cos(phi/2), when phi < pi: an arc whose
+          total turning is phi < pi has chord >= arc * cos(phi/2) (its
+          unit tangents lie in a cap of radius phi/2), and phi is the
+          smaller turning of the two spans that join I and J, forward from
+          I's first vertex to J's last and forward from J's first vertex
+          across index 0 to I's last, at the vertices inside each.
+        """
+        t, a, b = self.tree, self.a, self.b
+        length = self.c.total_length()
+        arc = (np.minimum(t.arc_last[b] - t.arc_first[a],
+                          length - (t.arc_first[b] - t.arc_last[a]))
+               + TREE_SLACK * length)
+        with np.errstate(divide="ignore"):
+            bound = arc / np.maximum(self.near, 0.0)
+        turn = t.turning
+        phi = (np.minimum(turn[t.stop[b] - 1] - turn[t.start[a] + 1],
+                          turn[-1] - turn[t.start[b] + 1] + turn[t.stop[a] - 1])
+               + TREE_SLACK * turn[-1])
+        bent = phi < math.pi
+        bound[bent] = np.minimum(bound[bent], 1.0 / np.cos(0.5 * phi[bent]))
+        return bound * (1.0 + TREE_SLACK)
+
+    @cached_property
+    def sep(self):
+        """The largest periodic index separation min(s, N - s) of a vertex
+        pair, exact."""
+        t, n = self.tree, self.c.n
+        lo = np.maximum(t.start[self.b] - t.stop[self.a] + 1, 0)
+        hi = t.stop[self.b] - 1 - t.start[self.a]
+        half = n // 2
+        return np.where(hi <= half, hi, np.where(lo > half, n - lo, half))
+
+
+def pair_search(c, key, leaf, best, positions=None, largest=False):
+    """The smallest, or with ``largest`` the largest, value that ``leaf``
+    finds over the vertex pairs of ``c``, with ``best`` to beat, by branch
+    and bound over :meth:`Curve.interval_tree`; an O(N^2) scan finds the
+    same float, since the leaves compare the same numbers.
+
+    Level by level from depth ``TREE_TOP``, each live node pair gets
+    ``key(pairs)`` (:class:`NodePairs`), a bound on the values its vertex
+    pairs can give, inf (-inf with ``largest``) for one that holds no pair
+    the query counts, and it lives on while its key beats the best value
+    so far.  Before a level is cut, the middle vertices of each live node
+    pair seed the best value.  The leaf pairs left are taken in batches of
+    at most ``PAIR_BLOCK`` vertex pairs, each batch only those whose key
+    still beats the best value; sorting them by key measured no faster.
+
+    ``leaf(chords, gaps, best)`` returns the better of ``best`` and of a
+    batch's vertex pairs: their chords, of shape (P, m, k), computed as
+    every chord scan computes them (:func:`pair_sq_distances`, then the
+    square root), and, for ``positions`` (pos, total), their
+    :func:`periodic_gaps`, as :meth:`Curve.intrinsic_rows` computes arcs,
+    else None; both are borrowed work arrays the leaf may overwrite.  A
+    batch also holds each pair (j, i), the pairs (i, i), and repeats of a
+    short leaf's last vertex, which change no minimum or maximum of a
+    symmetric value.
+    """
+    tree = c.interval_tree()
+    depth = _tree_depth(c.n)
+    sign = -1.0 if largest else 1.0
+    xyz = np.ascontiguousarray(c.samples.T)
+    mid = (tree.start + tree.stop)[:, None] // 2
+    # the longest leaf, ceil(N / 2^depth) vertices
+    span = np.arange((c.n + (1 << depth) - 1) >> depth)
+    # every node pair of the first levels lives: start below them
+    top = min(depth, TREE_TOP)
+    a = b = np.ones(1, np.intp)
+    for _ in range(top):
+        a, b = _children(a, b)
+    with work_arrays(3, max(c.n, span.size**2)) as work:
+        for level in range(top, depth + 1):
+            if level > top:
+                a, b = _children(a, b)
+            k = sign * key(NodePairs(c, a, b))
+            live = k < sign * best
+            a, b, k = a[live], b[live], k[live]
+            if not a.size:
+                return best
+            best = _leaf_batches(xyz, mid[a], mid[b], positions, leaf, best,
+                                 work)
+            live = k < sign * best
+            a, b, k = a[live], b[live], k[live]
+        step = max(1, PAIR_BLOCK // span.size**2)
+        for lo in range(0, a.size, step):
+            live = k[lo:lo + step] < sign * best
+            rows, cols = (np.minimum(tree.start[x, None] + span,
+                                     tree.stop[x, None] - 1)
+                          for x in (a[lo:lo + step][live],
+                                    b[lo:lo + step][live]))
+            best = _leaf_batches(xyz, rows, cols, positions, leaf, best, work)
+    return best
+
+
+def _children(a, b):
+    """The child node pairs (I', J'), I' <= J', of the node pairs (a, b)."""
+    ca = 2 * a[:, None] + _LEFT
+    cb = 2 * b[:, None] + _RIGHT
+    kids = ca <= cb
+    return ca[kids], cb[kids]
+
+
+#: the children 2k + i of the two nodes of a pair, in the four pairings
+_LEFT, _RIGHT = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+
+
+def _leaf_batches(xyz, rows, cols, positions, leaf, best, work):
+    """``best`` run through ``leaf`` over the vertex pairs rows[p] x
+    cols[p] (see :func:`pair_search`), at most ``PAIR_BLOCK`` at a time in
+    the three borrowed arrays ``work``; ``xyz`` holds the vertices'
+    coordinates as three rows."""
+    step = max(1, PAIR_BLOCK // (rows.shape[1] * cols.shape[1]))
+    for lo in range(0, len(rows), step):
+        r, s = rows[lo:lo + step], cols[lo:lo + step]
+        shape = (len(r), r.shape[1], s.shape[1])
+        chords, d, e = (w[:math.prod(shape)].reshape(shape) for w in work)
+        pair_sq_distances(xyz[:, r], xyz[:, s], chords, (d, e))
+        np.sqrt(chords, out=chords)
+        gaps = None
+        if positions is not None:
+            pos, total = positions
+            gaps = periodic_gaps(pos[r], pos[s], total, d, e)
+        best = leaf(chords, gaps, best)
+    return best
 
 
 # -- point / polyline distances ---------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from scipy.optimize import brentq
 
-from .curve import hausdorff_distance
+from .curve import hausdorff_distance, pair_search
 
 #: threshold sequence limit: the distortion of a quarter circle
 G_INF = math.pi / math.sqrt(8.0)
@@ -92,8 +92,8 @@ def _rung_maxima(c, limits):
     where no pair qualifies.
 
     One pass over :meth:`~knotgauge.curve.Curve.pair_blocks`, so no N x N
-    array is kept; on a curve that has had no full scan yet, it also takes
-    the embeddedness verdict and the diameter.  Each pair falls in the bin
+    array is kept; on a curve that has no verdict yet, it also takes the
+    embeddedness verdict and the diameter.  Each pair falls in the bin
     of the first limit it meets, or in a sink past the last one that holds
     +inf and is never read, and each bin keeps its largest ratio with the
     first pair that reached it: a later block, whose rows are larger,
@@ -196,8 +196,9 @@ class DistortionProfile:
 def distortion_profile(c):
     """The local distortion at every rung of :func:`scale_ladder`, from one
     :func:`_rung_maxima` scan at twice the rungs, cached with the curve.
-    On a curve that has had no full chord scan, the ladder's diameter takes
-    one of its own first."""
+    On a curve that has had no full chord scan, the ladder's diameter
+    comes from a tree search (:meth:`~knotgauge.curve.Curve.diameter`), so
+    the profile is still one pass over the pairs."""
     def build():
         scales = scale_ladder(c)
         values, flats = _rung_maxima(c, 2.0 * scales)
@@ -210,13 +211,75 @@ def distortion_profile(c):
 def _admissible_rung(c, threshold):
     """Scale and distortion ``(r, delta)`` of the largest
     :func:`distortion_profile` rung with distortion below threshold, or
-    ``(None, None)`` when no rung qualifies."""
-    prof = distortion_profile(c)
-    below = np.flatnonzero(prof.values < threshold)
-    if not below.size:
-        return None, None
-    k = below[-1]
-    return float(prof.scales[k]), float(prof.values[k])
+    ``(None, None)`` when no rung qualifies, cached per curve and
+    threshold; no profile is read.
+
+    The distortion at a rung stays below threshold exactly when no pair
+    with chord <= twice the rung has ratio >= threshold, that is, when
+    twice the rung is below c*, the smallest chord of such a pair
+    (:func:`_threshold_chord`).  So the rung is the last ladder rung whose
+    limit is below c*, and its distortion is :func:`_rung_distortion`,
+    the profile's float at that rung.
+    """
+    def build():
+        scales = scale_ladder(c)
+        limits = 2.0 * scales
+        below = np.flatnonzero(limits < _threshold_chord(c, threshold))
+        if not below.size:
+            return None, None
+        k = below[-1]
+        return float(scales[k]), _rung_distortion(c, limits[k])
+    return c.cached(("admissible_rung", threshold), build)
+
+
+def _arc_positions(c):
+    """The positions and the period whose gaps are the shorter arcs, for
+    :func:`~knotgauge.curve.pair_search`."""
+    return c.cum_lengths()[:-1], c.total_length()
+
+
+def _threshold_chord(c, threshold):
+    """c*: the smallest chord over the pairs i < j whose intrinsic/chord
+    ratio is >= threshold, inf when no pair has one; by
+    :func:`~knotgauge.curve.pair_search`, which drops a node pair whose
+    chords reach the best c* so far or whose ratios stay below threshold.
+    Raises :class:`~knotgauge.curve.EmbeddingError` on coincident
+    samples."""
+    c.check_embedded()
+
+    def leaf(chords, arcs, best):
+        # the pairs (i, i) give 0/0, which no comparison keeps
+        with np.errstate(invalid="ignore"):
+            ratios = np.divide(arcs, chords, out=arcs)
+        return min(best, float(np.min(chords, where=ratios >= threshold,
+                                      initial=math.inf)))
+
+    return pair_search(
+        c, lambda pairs: np.where(pairs.ratio >= threshold, pairs.near,
+                                  math.inf),
+        leaf, math.inf, positions=_arc_positions(c))
+
+
+def _rung_distortion(c, limit):
+    """The profile's distortion at the rung of chord limit ``limit``: the
+    largest intrinsic/chord ratio over the pairs with chord <= limit, and
+    at least 1.0, by :func:`~knotgauge.curve.pair_search`, which drops a
+    node pair whose chords all exceed the limit or whose ratios cannot
+    beat the best so far.  Raises :class:`~knotgauge.curve.EmbeddingError`
+    on coincident samples."""
+    c.check_embedded()
+
+    def leaf(chords, arcs, best):
+        with np.errstate(invalid="ignore"):
+            ratios = np.divide(arcs, chords, out=arcs)
+        # fmax skips the pairs (i, i), whose 0/0 is NaN
+        return max(best, float(np.fmax.reduce(
+            ratios, axis=None, where=chords <= limit, initial=-math.inf)))
+
+    return max(1.0, pair_search(
+        c, lambda pairs: np.where(pairs.near <= limit, pairs.ratio,
+                                  -math.inf),
+        leaf, -math.inf, positions=_arc_positions(c), largest=True))
 
 
 def find_admissible_scale(c, threshold):
@@ -267,7 +330,10 @@ def certify_equivalence(a, b, threshold=None, margin=1e-3):
 
     Reads the scale and distortion of each curve's largest profile rung
     with local distortion below ``threshold - margin`` (a heuristic
-    allowance for the vertex sampling, not a bound), then demands that the
+    allowance for the vertex sampling, not a bound), from two tree
+    searches per curve and no scan of its pairs (:func:`_admissible_rung`;
+    the diameter of the ladder comes from the curve's first full chord
+    scan, or from a tree search too), then demands that the
     Hausdorff distance be below a quarter of the smaller scale.  The certificate also
     carries each curve's shortest and longest edge.  Raises ValueError
     unless ``margin`` is finite and >= 0 (a negative margin would certify

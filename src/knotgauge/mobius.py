@@ -23,7 +23,7 @@ import numpy as np
 
 from .curve import (Curve, CurveError, block_view, outer_difference,
                     resample_arclength, work_arrays)
-from .distortion import certify_equivalence, distortion_profile
+from .distortion import _rung_distortion, certify_equivalence, scale_ladder
 from .sobolev import bilip_constant
 
 
@@ -357,13 +357,14 @@ def minimize_symmetric(cfg):
 def _abort_message(it, cert, checkpoint, cur):
     """Why the certificate at iteration ``it`` failed: the threshold minus
     the margin, then, for each curve with no profile rung below it, the
-    distortion of its lowest rung, or, when both have one, the Hausdorff
-    distance against a quarter of the smaller scale."""
+    distortion of its lowest rung (the profile's float, without the
+    profile's scan), or, when both have one, the Hausdorff distance
+    against a quarter of the smaller scale."""
     thr = cert.threshold - cert.margin
     head = (f"certificate failed at iteration {it}: threshold - margin "
             f"{thr:.4f}")
     missing = [f"{name} has no rung below it (lowest rung "
-               f"{distortion_profile(c).values[0]:.4f})"
+               f"{_rung_distortion(c, 2.0 * scale_ladder(c)[0]):.4f})"
                for name, c, r in (("checkpoint", checkpoint, cert.r1),
                                   ("current curve", cur, cert.r2))
                if r is None]

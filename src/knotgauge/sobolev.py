@@ -16,8 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curve import (PAIR_BLOCK, WINDOW_SLACK, block_view, outer_difference,
-                    pair_sq_distances, param_distance, work_arrays)
+from .curve import (PAIR_BLOCK, TREE_SLACK, WINDOW_SLACK, block_view,
+                    pair_search, pair_sq_distances, periodic_gaps,
+                    work_arrays)
 from .distortion import LADDER_SIZE
 
 DEFAULT_BAND = 2
@@ -84,8 +85,7 @@ def _density_rows(c, rows, cols, band, out=None):
             ob = out[b]
             d, e = (block_view(a, *ob.shape) for a in work)
             pair_sq_distances(ur[:, b], uc, ob, (d, e))
-            np.abs(outer_difference(tr[b], tc, d, e), out=d)
-            np.minimum(d, np.subtract(1.0, d, out=e), out=d)
+            periodic_gaps(tr[b], tc, 1.0, d, e)
             ob /= np.square(d, out=d)
             ob *= h
             ob *= h
@@ -401,7 +401,8 @@ def fractional_admissible_scale(c):
     Raises :class:`ConcentratedSeminormError` when no ladder radius
     qualifies (the seminorm is concentrated; use the concentration
     pipeline), and :class:`~knotgauge.curve.EmbeddingError` on coincident
-    samples.
+    samples.  sigma comes from :func:`_far_chord`, with no full pass over
+    the pairs.
     """
     ladder = _ladder(c.n)
     worst = _ladder_pass(c).sums.max(axis=1)
@@ -410,12 +411,26 @@ def fractional_admissible_scale(c):
         raise ConcentratedSeminormError(
             "seminorm too concentrated; use concentration pipeline")
     rho = float(ladder[small[-1]])
-    t = c.params()
-    sigma = math.inf
-    for b, chords in c.chord_blocks():
-        far = param_distance(t[b, None], t[b.start:]) >= 2.0 * rho
-        sigma = min(sigma, float(np.min(chords, where=far, initial=math.inf)))
+    sigma = _far_chord(c, 2.0 * rho)
     if sigma == math.inf:
         raise ConcentratedSeminormError(
             "no pairs beyond 2*rho; curve too coarse for the scale search")
     return rho, sigma / 4.0
+
+
+def _far_chord(c, gap):
+    """The smallest chord over the pairs whose parameter distance
+    (:func:`~knotgauge.curve.param_distance` of i/N and j/N) is >= ``gap``,
+    inf when no pair is that far apart; by
+    :func:`~knotgauge.curve.pair_search`, which drops a node pair whose
+    chords reach the best so far or whose index separations all stay
+    below gap * N.  Raises :class:`~knotgauge.curve.EmbeddingError` on
+    coincident samples."""
+    c.check_embedded()
+    n = c.n
+    return pair_search(
+        c, lambda pairs: np.where(pairs.sep * (1.0 + TREE_SLACK) >= gap * n,
+                                  pairs.near, math.inf),
+        lambda chords, dist, best: min(best, float(np.min(
+            chords, where=dist >= gap, initial=math.inf))),
+        math.inf, positions=(c.params(), 1.0))

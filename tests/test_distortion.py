@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import knotgauge.distortion as distortion
-from knotgauge.curve import Curve, EmbeddingError, circle, row_blocks
+from knotgauge.curve import (COINCIDENCE_TOL, Curve, EmbeddingError, circle,
+                             row_blocks)
 from knotgauge.distortion import (G_INF, _rung_maxima, arc_chord_ratio,
                                   certify_equivalence, distortion_angle,
                                   distortion_profile, distortion_threshold,
@@ -344,23 +345,24 @@ class TestProfileScans:
         monkeypatch.setattr(Curve, "_chord_blocks", chord_blocks)
         return rungs, chords
 
-    def test_fresh_curve_takes_two_chord_passes(self, counted):
+    def test_fresh_curve_takes_one_chord_pass(self, counted):
         rungs, chords = counted
         c = torus_knot(2, 3, n=512)
         distortion_profile(c)
         distortion_profile(c)
-        # the ladder's diameter, then the rungs
-        assert rungs == [c] and chords == [c, c]
+        # the rungs; the ladder's diameter comes from the tree
+        assert rungs == [c] and chords == [c]
 
-    def test_checkpoint_scans_each_curve_once(self, counted):
+    def test_checkpoint_chain_scans_no_pairs(self, counted):
         # the descent's checkpoint pattern: each iterate is certified
-        # against the previous one, then against the next
-        rungs, _ = counted
+        # against the previous one, then against the next; every
+        # certificate reads the tree, not the pairs
+        rungs, chords = counted
         a, b, c = (torus_knot(2, 3, major_radius=R, n=256)
                    for R in (2.0, 2.01, 2.02))
         certify_equivalence(a, b)
         certify_equivalence(b, c)
-        assert rungs == [a, b, c]
+        assert rungs == [] and chords == []
 
 
 def _figure_eight(n=512):
@@ -376,12 +378,34 @@ def _figure_eight(n=512):
 
 @pytest.mark.parametrize("scan", [
     lambda c: local_distortion(c, 0.5), global_distortion, bilip_constant,
-    mobius_energy, mobius_gradient, fractional_admissible_scale])
+    mobius_energy, mobius_gradient, fractional_admissible_scale,
+    pytest.param(lambda c: certify_equivalence(c, c),
+                 id="certify_equivalence"),
+    pytest.param(lambda c: find_admissible_scale(c, G3),
+                 id="find_admissible_scale"),
+    Curve.check_embedded])
 def test_pair_scans_refuse_figure_eight(scan):
     c = _figure_eight()
     assert np.array_equal(c.samples[0], c.samples[c.n // 2])
     with pytest.raises(EmbeddingError):
         scan(c)
+
+
+@pytest.mark.parametrize("gap, embedded", [(2.0, True), (0.5, False)])
+def test_near_miss_verdict(gap, embedded):
+    # vertex n/2 of the figure eight moved off vertex 0 by a multiple of
+    # the coincidence distance: the tree and the full scan agree
+    q = _figure_eight().samples.copy()
+    tol = COINCIDENCE_TOL * Curve(q).total_length()
+    q[q.shape[0] // 2, 1] = gap * tol
+    tree, scan = Curve(q), Curve(q)
+    assert tree._chords()[0] is embedded
+    assert all(scan._block_verdict(b, True, chords)[0]
+               for b, chords in scan._chord_blocks(True)) is embedded
+    if not embedded:
+        with pytest.raises(EmbeddingError):
+            for _ in scan.chord_blocks():
+                pass
 
 
 @pytest.mark.parametrize("r", [math.nan, 0.0, -1.0])
@@ -429,8 +453,8 @@ class TestCertificate:
         assert a.hausdorff == pytest.approx(b.hausdorff, rel=1e-12)
 
     def test_keeps_no_pair_matrix(self):
-        # one profile scan per curve and the Hausdorff distance; one
-        # N x N array would take 32 MB
+        # tree searches of each curve's pairs and the Hausdorff distance;
+        # one N x N array would take 32 MB
         a = torus_knot(2, 3, n=2048)
         b = Curve(a.samples + 1e-6)
         tracemalloc.start()

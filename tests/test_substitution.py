@@ -6,6 +6,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import knotgauge.substitution as substitution
+from knotgauge.concentration import pipeline
 from knotgauge.curve import Curve, arc_window, circle
 from knotgauge.sobolev import bilip_constant
 from knotgauge.substitution import (FLAGS, THETA1, GoodSetError,
@@ -14,7 +16,8 @@ from knotgauge.substitution import (FLAGS, THETA1, GoodSetError,
                                     _signed_offset, _verify, excess_field,
                                     good_sets, mean_direction, substitute,
                                     theta3, theta4, weak_type_check)
-from util import fourier_curve, kinked_track, track_curve
+from util import (fourier_curve, kinked_track, track_curve,
+                  unfiltered_good_sets)
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +203,30 @@ class TestSubstitute:
         rep = substitute(Curve(c.samples), [x], r=0.05)
         assert rep.all_pass
         assert list(passes.values()) == [1, 1]
+
+    def test_pipeline_reference_takes_no_chord_pass(self, monkeypatch):
+        # the unit-length working curve gets one pass (its bilipschitz
+        # constant), the modified curve two (the substitution's check and
+        # the final local distortion); the reference's seminorm scale and
+        # both certificates read the tree
+        passes = Counter()
+        scan = Curve._chord_blocks
+
+        def counted(c, upper):
+            passes[c] += 1
+            return scan(c, upper)
+
+        monkeypatch.setattr(Curve, "_chord_blocks", counted)
+        monkeypatch.setattr(substitution, "good_sets", unfiltered_good_sets)
+        c, ref, _ = kinked_track(1024, chi=0.7)
+        rep = pipeline(c, p=2, reference=ref)
+        assert rep.certificate is not None
+        length = c.total_length()
+        work, modified = passes
+        assert np.array_equal(work.samples, c.samples / length)
+        assert np.array_equal(modified.samples * length,
+                              rep.modified.samples)
+        assert list(passes.values()) == [1, 2]
 
     def test_straight_window_unchanged(self):
         c, x = track_curve(n=1024, seed=None, cap_noise=0.0)
