@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curve import Curve, param_distance, param_window
-from .distortion import LADDER_SIZE, certify_equivalence, local_distortion
+from .distortion import LADDER_SIZE, _max_ratio, certify_equivalence
 from .sobolev import (DEFAULT_BAND, ConcentratedSeminormError, _density_rows,
                       ball_halfwidth, ball_window_sums, bilip_constant,
                       fractional_admissible_scale, seminorm_sq)
@@ -231,8 +231,10 @@ def pipeline(c, p, reference=None):
     is returned at the input scale.  Without detections the input passes
     through unchanged.  With a reference curve (same sample count) the sup
     distance budget and the equivalence certificate against the reference
-    are evaluated as well.  Raises :class:`ConcentrationError` unless the
-    symmetry order ``p`` is at least 1.
+    are evaluated as well.  The final distortion is a tree search, and
+    fails, with a note, when no pair has chord <= 2r.  Raises
+    :class:`ConcentrationError` unless the symmetry order ``p`` is at
+    least 1.
     """
     if not p >= 1:
         raise ConcentrationError(f"symmetry order p must be at least 1 "
@@ -274,14 +276,13 @@ def pipeline(c, p, reference=None):
     modified = rep.modified
 
     final_scale = sel.r_bar / (16.0 * L)
-    dist_final, pair = local_distortion(modified, final_scale)
+    top = _max_ratio(modified, 2.0 * final_scale)
     flags = {
         "substitution": rep.all_pass,
-        "distortion": (pair is not None
-                       and dist_final <= math.pi / 3.0 + DISTORTION_MARGIN),
+        "distortion": -math.inf < top <= math.pi / 3.0 + DISTORTION_MARGIN,
     }
     notes = []
-    if pair is None:
+    if top == -math.inf:
         notes.append(
             f"final distortion compares no pair: 2r = {2.0 * final_scale:.3e} "
             f"is below the shortest edge {modified.min_edge():.3e} of the "
@@ -298,6 +299,6 @@ def pipeline(c, p, reference=None):
     return ConcentrationReport(
         detection=det, bilip=L, theta=theta, scale=sel,
         substitution=rep, modified=Curve(modified.samples * length),
-        final_scale=final_scale, distortion_final=dist_final,
+        final_scale=final_scale, distortion_final=max(1.0, top),
         distortion_margin=DISTORTION_MARGIN, budget=budget,
         linf_reference=linf_ref, certificate=cert, flags=flags, notes=notes)

@@ -753,10 +753,11 @@ def resample_arclength(c, n_out):
     idempotent and the output exactly unit-speed in its own metric.  The
     output length equals the input length up to the O(1/N^2) corner
     cutting of smooth data (polygon-aligned vertices are preserved
-    exactly).
+    exactly).  A fractional ``n_out`` would leave the last edge short.
     """
-    if n_out < MIN_SAMPLES:
-        raise CurveError(f"n_out < {MIN_SAMPLES}")
+    if not (float(n_out).is_integer() and n_out >= MIN_SAMPLES):
+        raise CurveError(
+            f"n_out must be an integer >= {MIN_SAMPLES} (got {n_out})")
     cum = c.cum_lengths()
     total = cum[-1]
     s = np.arange(n_out) * (total / n_out)

@@ -260,13 +260,13 @@ def _threshold_chord(c, threshold):
         leaf, math.inf, positions=_arc_positions(c))
 
 
-def _rung_distortion(c, limit):
-    """The profile's distortion at the rung of chord limit ``limit``: the
-    largest intrinsic/chord ratio over the pairs with chord <= limit, and
-    at least 1.0, by :func:`~knotgauge.curve.pair_search`, which drops a
-    node pair whose chords all exceed the limit or whose ratios cannot
-    beat the best so far.  Raises :class:`~knotgauge.curve.EmbeddingError`
-    on coincident samples."""
+def _max_ratio(c, limit):
+    """The largest intrinsic/chord ratio over the pairs with chord <=
+    ``limit``, -inf when no pair has one, by
+    :func:`~knotgauge.curve.pair_search`, which drops a node pair whose
+    chords all exceed the limit or whose ratios cannot beat the best so
+    far.  Raises :class:`~knotgauge.curve.EmbeddingError` on coincident
+    samples."""
     c.check_embedded()
 
     def leaf(chords, arcs, best):
@@ -276,10 +276,16 @@ def _rung_distortion(c, limit):
         return max(best, float(np.fmax.reduce(
             ratios, axis=None, where=chords <= limit, initial=-math.inf)))
 
-    return max(1.0, pair_search(
+    return pair_search(
         c, lambda pairs: np.where(pairs.near <= limit, pairs.ratio,
                                   -math.inf),
-        leaf, -math.inf, positions=_arc_positions(c), largest=True))
+        leaf, -math.inf, positions=_arc_positions(c), largest=True)
+
+
+def _rung_distortion(c, limit):
+    """:func:`local_distortion`'s value at scale limit/2, by
+    :func:`_max_ratio`."""
+    return max(1.0, _max_ratio(c, limit))
 
 
 def find_admissible_scale(c, threshold):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import point_to_polyline_distance
-from .distortion import (distortion_angle, distortion_threshold,
-                         local_distortion, threshold_angle)
+from .distortion import (_rung_distortion, distortion_angle,
+                         distortion_threshold, threshold_angle)
 
 
 class FlowError(RuntimeError):
@@ -279,8 +279,10 @@ class FlowTrace:
 
 def midpoint_angle(m, r_m):
     """Default field angle: midpoint of the curve's distortion angle at the
-    scale r_m and the dimensional threshold angle."""
-    delta = local_distortion(m, r_m)[0]
+    scale r_m (a tree search) and the dimensional threshold angle."""
+    if not r_m > 0:
+        raise ValueError(f"scale r must be positive (got {r_m})")
+    delta = _rung_distortion(m, 2.0 * r_m)
     if delta >= distortion_threshold(3):
         raise FlowError(
             f"scale {r_m} is not admissible: local distortion {delta:.4f}")

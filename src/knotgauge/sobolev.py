@@ -19,7 +19,7 @@ import numpy as np
 from .curve import (PAIR_BLOCK, TREE_SLACK, WINDOW_SLACK, block_view,
                     pair_search, pair_sq_distances, periodic_gaps,
                     work_arrays)
-from .distortion import LADDER_SIZE
+from .distortion import LADDER_SIZE, _max_ratio
 
 DEFAULT_BAND = 2
 
@@ -152,26 +152,12 @@ def bilip_constant(c):
 
     For an arclength-resampled curve the intrinsic distance is the scaled
     parameter distance, so 1/L is the infimum of chord over intrinsic
-    distance.  L >= pi/2 for any closed curve.  Cached with the curve;
-    :func:`~knotgauge.mobius.mobius_energy` records it from its own pass.
-    Raises :class:`~knotgauge.curve.EmbeddingError` on coincident samples.
+    distance.  L >= pi/2 for any closed curve.  A tree search, cached with
+    the curve; :func:`~knotgauge.mobius.mobius_energy` records it from its
+    own pass.  Raises :class:`~knotgauge.curve.EmbeddingError` on
+    coincident samples.
     """
-    return c.cached("bilip", lambda: _bilip_scan(c))
-
-
-def _bilip_scan(c):
-    """One scan of the pairs i < j through
-    :meth:`~knotgauge.curve.Curve.pair_blocks` (the ratio is symmetric bit
-    for bit): one maximum over all pairs, cheaper than the binned rung
-    scan of :func:`~knotgauge.distortion.local_distortion` at an infinite
-    scale, which finds the same value."""
-    top = -np.inf
-    for _, chords, arcs in c.pair_blocks():
-        # the diagonal's 0/0 is NaN, which fmax skips
-        with np.errstate(invalid="ignore"):
-            arcs /= chords
-        top = max(top, float(np.fmax.reduce(arcs, axis=None)))
-    return top
+    return c.cached("bilip", lambda: _max_ratio(c, math.inf))
 
 
 # -- window sweeps -------------------------------------------------------------

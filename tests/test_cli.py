@@ -289,6 +289,14 @@ class TestMinimize:
         assert rows[0] == ["iter", "energy", "residual", "bilip", "step"]
         assert len(rows) == 2
 
+    def test_negative_steps_refused(self, capsys):
+        rc = main(["minimize", "--torus", "2,3", "--p", "3", "--m", "2",
+                   "--n", "120", "--steps", "-2"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "error: steps must be >= 0 (got -2)" in captured.err
+        assert "status=" not in captured.out
+
     def test_short_run(self, tmp_path):
         out = tmp_path / "final.json"
         rc = main(["minimize", "--torus", "2,3", "--p", "3", "--m", "2",

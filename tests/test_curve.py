@@ -476,6 +476,16 @@ class TestResample:
         with pytest.raises(CurveError):
             resample_arclength(circle64, 4)
 
+    @pytest.mark.parametrize("n_out", [8.5, math.nan, math.inf])
+    def test_fractional_count_refused(self, circle64, n_out):
+        # at 8.5 the last of 9 edges would be half as long as the others
+        with pytest.raises(CurveError, match="n_out must be an integer"):
+            resample_arclength(circle64, n_out)
+
+    def test_integral_float_count(self, circle64):
+        assert np.array_equal(resample_arclength(circle64, 16.0).samples,
+                              resample_arclength(circle64, 16).samples)
+
 
 def test_discrete_tangent_unit(trefoil512):
     u = trefoil512.tangents()

@@ -240,6 +240,11 @@ class TestMinimize:
         assert len(res.states) == 1
         assert res.final.iteration == 0
 
+    def test_negative_steps_refused(self):
+        with pytest.raises(ValueError, match=r"steps must be >= 0 \(got -1\)"):
+            minimize_symmetric(
+                MinimizeConfig(torus=(2, 3), p=3, m=2, n=120, steps=-1))
+
     @pytest.mark.parametrize("p, m, need", [
         (3, 1, "order p = 3 with multiplier m = 1: the multiplier must be "
                "m = 2 (a mod p)"),

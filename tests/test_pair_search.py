@@ -1,7 +1,8 @@
 """The branch-and-bound queries over a curve's index-interval tree against
 full scans of its pairs: the embeddedness verdict and the diameter
 (``Curve._chords``), c* and the capped maximum of the certificate's rung,
-and the far-pair minimum of the seminorm scale."""
+the bilipschitz constant, and the far-pair minimum of the seminorm
+scale."""
 
 import math
 
@@ -10,11 +11,13 @@ import pytest
 
 from knotgauge.curve import (TREE_LEAF, Curve, NodePairs, circle,
                              param_distance)
-from knotgauge.distortion import (_admissible_rung, _rung_distortion,
-                                  _rung_maxima, _threshold_chord,
-                                  distortion_profile, distortion_threshold)
+from knotgauge.distortion import (_admissible_rung, _max_ratio,
+                                  _rung_distortion, _rung_maxima,
+                                  _threshold_chord, distortion_profile,
+                                  distortion_threshold, global_distortion)
 from knotgauge.mobius import torus_knot
-from knotgauge.sobolev import _far_chord, _ladder, fractional_admissible_scale
+from knotgauge.sobolev import (_far_chord, _ladder, bilip_constant,
+                               fractional_admissible_scale)
 from util import random_rotation
 
 THR = distortion_threshold(3) - 1e-3
@@ -70,6 +73,20 @@ def _scan_threshold_chords(c, thresholds):
             best[k] = min(best[k], np.min(chords, where=ratios >= thr,
                                           initial=math.inf))
     return best
+
+
+def _scan_ratio_extrema(c):
+    """The largest intrinsic/chord ratio and the smallest chord over the
+    pairs i < j, from one pass."""
+    top, least = -math.inf, math.inf
+    for _, chords, arcs in c.pair_blocks():
+        # the diagonal is the only zero arc
+        least = min(least, float(np.min(chords, where=arcs > 0.0,
+                                        initial=math.inf)))
+        with np.errstate(invalid="ignore"):
+            arcs /= chords
+        top = max(top, float(np.fmax.reduce(arcs, axis=None)))
+    return top, least
 
 
 def _scan_far_chords(c, gaps):
@@ -131,6 +148,19 @@ def test_queries_equal_full_scans(kind, n):
     rung = (None, None) if not below.size else (
         float(prof.scales[below[-1]]), float(prof.values[below[-1]]))
     assert _admissible_rung(tree, THR) == rung
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 257, 2049])
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_bilip_constant_equals_the_scan(kind, n):
+    c = _moved(KINDS[kind](n), n)
+    top, least = _scan_ratio_extrema(Curve(c.samples))
+    assert bilip_constant(Curve(c.samples)) == top
+    assert global_distortion(Curve(c.samples))[0] == top
+    # no pair below the smallest chord, one at it
+    assert _max_ratio(Curve(c.samples),
+                      np.nextafter(least, -math.inf)) == -math.inf
+    assert _max_ratio(Curve(c.samples), least) > -math.inf
 
 
 def test_far_pair_scale_equals_the_scan():

@@ -9,6 +9,7 @@ import pytest
 import knotgauge.substitution as substitution
 from knotgauge.concentration import pipeline
 from knotgauge.curve import Curve, arc_window, circle
+from knotgauge.flowfield import midpoint_angle
 from knotgauge.sobolev import bilip_constant
 from knotgauge.substitution import (FLAGS, THETA1, GoodSetError,
                                     MeanDirection, SubstitutionError,
@@ -188,9 +189,10 @@ class TestSubstitute:
         assert peak < 2048**2 * 8
 
     def test_chords_computed_once_per_curve(self, track2048, monkeypatch):
-        # the unit-length working curve and the modified one each get one
-        # pass of chords: the modified curve's verdict, window distortions
-        # and bilipschitz constant come from the same pass
+        # the unit-length working curve gets no pass of chords (its
+        # bilipschitz constant reads the tree) and the modified one gets
+        # one: its verdict, window distortions and bilipschitz constant
+        # come from the same pass
         passes = Counter()
         scan = Curve._chord_blocks
 
@@ -202,13 +204,16 @@ class TestSubstitute:
         c, x = track2048
         rep = substitute(Curve(c.samples), [x], r=0.05)
         assert rep.all_pass
-        assert list(passes.values()) == [1, 1]
+        (modified,) = passes
+        assert np.array_equal(modified.samples * c.total_length(),
+                              rep.modified.samples)
+        assert passes[modified] == 1
 
     def test_pipeline_reference_takes_no_chord_pass(self, monkeypatch):
-        # the unit-length working curve gets one pass (its bilipschitz
-        # constant), the modified curve two (the substitution's check and
-        # the final local distortion); the reference's seminorm scale and
-        # both certificates read the tree
+        # only the modified curve gets a pass, the substitution's check;
+        # the working curve's bilipschitz constant, the final distortion,
+        # the reference's seminorm scale and both certificates read the
+        # tree
         passes = Counter()
         scan = Curve._chord_blocks
 
@@ -222,11 +227,27 @@ class TestSubstitute:
         rep = pipeline(c, p=2, reference=ref)
         assert rep.certificate is not None
         length = c.total_length()
-        work, modified = passes
-        assert np.array_equal(work.samples, c.samples / length)
+        (modified,) = passes
         assert np.array_equal(modified.samples * length,
                               rep.modified.samples)
-        assert list(passes.values()) == [1, 2]
+        assert list(passes.values()) == [1]
+
+    def test_ratio_queries_take_no_chord_pass(self, trefoil512,
+                                              monkeypatch):
+        # a fresh curve's bilipschitz constant and the flow field's
+        # default angle read the tree
+        passes = Counter()
+        scan = Curve._chord_blocks
+
+        def counted(c, upper):
+            passes[c] += 1
+            return scan(c, upper)
+
+        monkeypatch.setattr(Curve, "_chord_blocks", counted)
+        c = Curve(trefoil512.samples)
+        assert bilip_constant(c) > math.pi / 2
+        assert 0.0 < midpoint_angle(Curve(c.samples), 0.1) < math.pi
+        assert not passes
 
     def test_straight_window_unchanged(self):
         c, x = track_curve(n=1024, seed=None, cap_noise=0.0)
